@@ -15,16 +15,13 @@ executor's determinism contract); the script asserts that and records
 it.  Pool speedup is bounded by ``cpu_count`` — the recorded value
 makes a 1-core CI box's ~1x cold ratio interpretable.
 
-Also includes two engine-core micro-benchmarks:
+Also includes three engine-core micro-benchmarks:
 
 * ``tracer_record`` — per-call cost of the ``Tracer.record`` fast
   path: a rejected record on a no-sink tracer (``categories=()``) vs.
   an admitted record on an unfiltered columnar tracer;
 * ``engine`` — ns per dispatched kernel event on one representative
-  cell (FFT/Base), for the legacy NIC loops and the macro-event NIC
-  drivers (``nic_macro_events=True``); the macro grid is also run
-  across all 10 cells and asserted results-identical to the legacy
-  grid, cell by cell;
+  cell (FFT/Base);
 * ``telemetry`` — sampler overhead: ns per dispatched event with a
   ``TimeSeriesSampler`` attached at the default cadence vs. the same
   cell unsampled (the event counts must match — sampling rides slice
@@ -47,7 +44,6 @@ sub-1x cold ratio there is an artifact of the host, not a regression.
 Wall-clock timing lives here, not in ``src/`` (the determinism lint
 bans it there).
 """
-import dataclasses
 import json
 import shutil
 import sys
@@ -128,21 +124,15 @@ def _timed_cell(config: MachineConfig, telemetry=None):
 
 
 def engine_bench() -> dict:
-    """ns per dispatched event, legacy NIC loops vs macro-event mode."""
-    legacy_cfg = MachineConfig()
-    macro_cfg = dataclasses.replace(legacy_cfg, nic_macro_events=True)
-    _timed_cell(legacy_cfg)  # warm imports/caches off the clock
-    t_legacy, ev_legacy = _timed_cell(legacy_cfg)
-    t_macro, ev_macro = _timed_cell(macro_cfg)
+    """ns per dispatched kernel event on one representative cell."""
+    config = MachineConfig()
+    _timed_cell(config)  # warm imports/caches off the clock
+    elapsed, events = _timed_cell(config)
     return {
         "cell": "FFT/Base",
-        "legacy": {"seconds": round(t_legacy, 3),
-                   "events_dispatched": ev_legacy,
-                   "ns_per_event": round(1e9 * t_legacy / ev_legacy, 1)},
-        "macro_nic": {"seconds": round(t_macro, 3),
-                      "events_dispatched": ev_macro,
-                      "ns_per_event": round(1e9 * t_macro / ev_macro, 1)},
-        "macro_event_reduction": round(1.0 - ev_macro / ev_legacy, 3),
+        "seconds": round(elapsed, 3),
+        "events_dispatched": events,
+        "ns_per_event": round(1e9 * elapsed / events, 1),
     }
 
 
@@ -171,28 +161,6 @@ def telemetry_bench() -> dict:
                "ns_per_event": round(1e9 * t_on / ev_on, 1)},
         "overhead_fraction": round(t_on / t_off - 1.0, 4),
     }
-
-
-def macro_grid_check(legacy_encoded: dict) -> dict:
-    """Run the grid with macro-event NICs; results must match the
-    legacy grid cell-for-cell (configs differ, so compare by spec
-    order, not by digest)."""
-    macro_cfg = dataclasses.replace(MachineConfig(), nic_macro_events=True)
-    specs = [CellSpec(kind="svm", app=app, features=feats, config=macro_cfg)
-             for app in APPS for feats in PROTOCOL_LADDER]
-    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-macro-"))
-    try:
-        t0 = time.perf_counter()  # repro: noqa[wall-clock] — benchmarks wall time
-        out = GridExecutor(jobs=1, store=ResultStore(tmp)).map(specs)
-        elapsed = time.perf_counter() - t0  # repro: noqa[wall-clock] — benchmarks wall time
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    macro_results = [encode_result(out[spec.digest()]) for spec in specs]
-    legacy_results = list(legacy_encoded.values())
-    identical = macro_results == legacy_results
-    assert identical, "macro-event NIC diverged from the legacy loops"
-    return {"seconds": round(elapsed, 3),
-            "results_identical_to_legacy": identical}
 
 
 def scale_bench() -> dict:
@@ -227,7 +195,7 @@ def _pct(sorted_vals, q: float) -> float:
 WARM_ITERS = 30
 
 
-def serve_bench(legacy_encoded: dict) -> dict:
+def serve_bench(reference_encoded: dict) -> dict:
     """The daemon under load: 4 concurrent cold clients submitting the
     same 10-cell grid (single-flight dedup), then repeated warm
     resubmission against the daemon's in-memory memo.
@@ -272,9 +240,9 @@ def serve_bench(legacy_encoded: dict) -> dict:
                 "single-flight violated: a digest computed more than once"
             dedup_ratio = 1.0 - counters["computed"] / counters["cells"]
             for idx in range(n_clients):
-                assert payloads[idx].keys() == legacy_encoded.keys()
+                assert payloads[idx].keys() == reference_encoded.keys()
                 for digest, payload in payloads[idx].items():
-                    assert payload["result"] == legacy_encoded[digest], \
+                    assert payload["result"] == reference_encoded[digest], \
                         "daemon payload diverged from in-process jobs=1"
 
             warm_client = ServeClient(handle.url)
@@ -345,18 +313,13 @@ def main(out: str) -> None:
               f"ns/call vs admitted {trace['admitted_ns_per_call']:.0f} "
               f"ns/call ({trace['rejection_speedup']:.1f}x)")
         engine = engine_bench()
-        print(f"engine: legacy {engine['legacy']['ns_per_event']:.0f} "
-              f"ns/event vs macro-NIC "
-              f"{engine['macro_nic']['ns_per_event']:.0f} ns/event "
-              f"({engine['macro_event_reduction']:.1%} fewer events)")
+        print(f"engine: {engine['ns_per_event']:.0f} ns/event "
+              f"({engine['events_dispatched']} events)")
         telemetry = telemetry_bench()
         print(f"telemetry: {telemetry['off']['ns_per_event']:.0f} "
               f"ns/event unsampled vs {telemetry['on']['ns_per_event']:.0f} "
               f"ns/event sampled "
               f"({telemetry['overhead_fraction']:+.1%} overhead)")
-        macro = macro_grid_check(results["cold_jobs1"])
-        print(f"macro grid: {macro['seconds']:.2f}s, results identical "
-              f"to legacy loops")
         scale = scale_bench()
         print(f"scale: 1024-node machine in "
               f"{scale['machine_construction_ms']['1024']:.0f} ms, "
@@ -386,7 +349,6 @@ def main(out: str) -> None:
                               for k, v in trace.items()},
             "engine": engine,
             "telemetry": telemetry,
-            "macro_grid": macro,
             "scale": scale,
             "serve": serve,
         }

@@ -160,15 +160,6 @@ class MachineConfig:
     #: (Section 5: "would require additional processing in the NI").
     ni_sg_per_run_us: float = 0.8
     notify_us: float = 2.0           # completion/notification cost at host
-    #: run the NIC pipeline as callback-driven macro-events instead of
-    #: the three generator loops: station contention, timestamps and
-    #: traces are byte-identical (the drivers mirror the legacy loops'
-    #: kernel hop structure), with no generator frames and fewer
-    #: kernel dispatches.  Requires ``faults=None``; the Machine
-    #: silently falls back to the exact legacy loops when the
-    #: reliability layer is armed.  Defaults off: the legacy schedule
-    #: is the golden-trace reference.
-    nic_macro_events: bool = False
     fetch_retry_backoff_us: float = 20.0  # wait before re-fetching a stale page
     #: stale-timestamp re-fetches allowed before the protocol gives up
     #: with a SimulationError (a home copy that never advances would

@@ -36,15 +36,9 @@ class Machine:
         self.network = Network(self.sim, self.config)
         self.nodes: List[Node] = []
         self.nics: List[NIC] = []
-        # Macro-event NIC drivers need the perfect fabric: the
-        # reliability layer hooks the legacy loops (on_inject/accept),
-        # so an armed fault injector falls back to the exact schedule.
-        macro_nic = (self.config.nic_macro_events
-                     and self.config.faults is None)
         for node_id in range(self.config.nodes):
             node = Node(self.sim, self.config, node_id)
-            nic = NIC(self.sim, self.config, node_id, self.network,
-                      macro=macro_nic)
+            nic = NIC(self.sim, self.config, node_id, self.network)
             self.network.attach(node_id, nic)
             self.nodes.append(node)
             self.nics.append(nic)

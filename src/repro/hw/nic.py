@@ -16,11 +16,9 @@ delivered to host memory and announced through ``on_delivery``.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, Optional
 
-from ..sim import (Event, RateServer, Resource, RunningStat, Simulator,
-                   Store, Timeout)
+from ..sim import RateServer, Resource, RunningStat, Simulator, Store
 from .config import MachineConfig
 from .packet import Message, Packet
 
@@ -33,32 +31,13 @@ FW_SPAN_BUCKETS = {"lock_op": "lock", "fetch_req": "data"}
 class NIC:
     """One Myrinet-style network interface, owned by one node.
 
-    Two execution engines share one timing model:
-
-    * the **legacy loops** (default): three generator processes wired
-      through the VMMC software queues — the golden-trace reference;
-    * the **macro-event drivers** (``macro=True``, from
-      ``MachineConfig.nic_macro_events``): the same three stages as
-      callback chains with no generator frames.  Station holds still
-      queue on the real ``pci``/``lanai`` resources at their true
-      request instants (so contention with firmware sends and
-      host-side lock ops stays FIFO-exact), per-packet stages run as
-      plain callbacks, and the injection tail (LANai release → link
-      transfer → wire) expands arithmetically — the outbound link has
-      exactly one strictly serial client, so its grant/completion
-      instants are closed-form (``RateServer.note_span`` keeps its
-      utilization accounting exact).  Where two chains can race for a
-      station within one instant, the drivers insert ``sim.defer``
-      hops that mirror the legacy loops' kernel event structure
-      one-for-one, which makes macro mode *byte-identical* to the
-      legacy loops: validated trace- and results-equal across the full
-      protocol ladder (``tests/test_nic_macro.py``), at ~4% fewer
-      kernel dispatches.  Requires ``faults=None`` (the reliability
-      layer hooks the legacy loops).
+    The three VMMC software queues feed three generator processes
+    (send, inject, receive); the receive loop is the single FIFO
+    delivery path into host memory.
     """
 
     def __init__(self, sim: Simulator, config: MachineConfig, node_id: int,
-                 network: "Network", metrics=None, macro: bool = False):
+                 network: "Network", metrics=None):
         self.sim = sim
         self.config = config
         self.node_id = node_id
@@ -109,20 +88,9 @@ class NIC:
         if metrics is not None:
             self.register_metrics(metrics)
 
-        self._macro = macro
-        if macro:
-            # Callback-driver state; the queues the generator loops
-            # modelled with Stores become plain deques (a hand-off is a
-            # function call, not a put/get event pair).
-            self._m_send_active = False
-            self._m_inject_q: deque = deque()
-            self._m_inject_busy = False
-            self._m_recv_q: deque = deque()
-            self._m_recv_busy = False
-        else:
-            sim.process(self._send_loop(), name=f"ni{node_id}.send")
-            sim.process(self._inject_loop(), name=f"ni{node_id}.inject")
-            sim.process(self._recv_loop(), name=f"ni{node_id}.recv")
+        sim.process(self._send_loop(), name=f"ni{node_id}.send")
+        sim.process(self._inject_loop(), name=f"ni{node_id}.inject")
+        sim.process(self._recv_loop(), name=f"ni{node_id}.recv")
 
     # ------------------------------------------------------------------ send
 
@@ -135,13 +103,6 @@ class NIC:
         The caller is responsible for charging ``post_overhead_us`` of
         host CPU time before calling.
         """
-        if self._macro and not self._m_send_active:
-            # Park the driver's getter *before* the put, exactly where
-            # the legacy send loop's get() waits: the hand-off then
-            # costs the same kernel event as the legacy getter
-            # dispatch, keeping same-instant PCI request order intact.
-            self._m_send_active = True
-            self.post_queue.get().add_callback(self._m_send_start)
         ev = self.post_queue.put(message)
         ev.add_callback(lambda _e: setattr(message, "_t_post", self.sim.now))
         return ev
@@ -206,11 +167,8 @@ class NIC:
         replies); otherwise the payload already lives in NI memory
         (lock grants, forwards).
         Returns an event that fires when all packets are queued for
-        injection (a Process in legacy mode; no caller awaits it).
+        injection (a Process; no caller awaits it).
         """
-        if self._macro:
-            return self._m_fw_send(message, read_host_bytes)
-
         def run():
             t_enq = self.sim.now
             for pkt in self._segment(message, fw_origin=True):
@@ -242,10 +200,7 @@ class NIC:
         """Called by the network when a packet's last word arrives."""
         pkt.t_net_arrival = self.sim.now
         self.packets_received += 1
-        if self._macro:
-            self._m_recv_enqueue(pkt)
-        else:
-            self.in_queue.put(pkt)
+        self.in_queue.put(pkt)
 
     def _recv_loop(self):
         """One FIFO service path for all incoming packets.
@@ -295,266 +250,12 @@ class NIC:
                     self.on_delivery(pkt)
                 self._finish(pkt)
 
-    # ------------------------------------------------- macro-event drivers
-
-    # The drivers below reproduce the legacy loops' *kernel hop
-    # structure*, not just their station-hold instants.  Within one
-    # simulated instant the engine dispatches events FIFO, so two
-    # chains racing for a station (say the send driver's next-segment
-    # DMA against the recv driver's delivery DMA) are ordered by how
-    # many zero-delay events each takes before calling request().  A
-    # legacy hand-off through a Store costs one kernel event (the
-    # parked getter's dispatch) and a process resume from a triggered
-    # event costs another; every ``sim.schedule(0.0, ...)`` here stands
-    # in for exactly one of those hops.  Dropping any of them reorders
-    # same-instant station grants and shifts timestamps downstream.
-
-    def _m_send_pump(self) -> None:
-        """Fetch the next posted message, if any (send driver idle)."""
-        if len(self.post_queue):
-            self.post_queue.get().add_callback(self._m_send_start)
-        else:
-            self._m_send_active = False
-
-    def _m_send_start(self, ev: Event) -> None:
-        message = ev._value
-        t_enq = getattr(message, "_t_post", self.sim.now)
-        if message.multicast_dsts:
-            dsts = message.multicast_dsts
-            sizes = self._segment_sizes(message)
-            message.packets_remaining = len(sizes) * len(dsts)
-            self._m_send_seg(message, t_enq, sizes, dsts, 0)
-        else:
-            self._m_send_dma(message, t_enq, self._segment(message), 0)
-
-    def _m_send_fin(self, message: Message) -> None:
-        if message.on_sent is not None:
-            message.on_sent(message)
-        self._m_send_pump()
-
-    def _m_send_dma(self, message: Message, t_enq: float, pkts, i: int):
-        """DMA segment ``i`` host -> NI, then hand it to injection."""
-        pkt = pkts[i]
-        pkt.t_enqueue = t_enq
-
-        def done():
-            pkt.t_src_done = self.sim.now
-            self._m_inject_enqueue(pkt)
-            if i + 1 < len(pkts):
-                self.sim.defer( lambda: self._m_send_dma(
-                    message, t_enq, pkts, i + 1))
-            else:
-                self.sim.defer( lambda: self._m_send_fin(message))
-
-        self.pci.transfer_cb(pkt.size, done)
-
-    def _m_send_seg(self, message: Message, t_enq: float, sizes, dsts,
-                    i: int):
-        """Multicast: one source DMA per segment, one packet per dst.
-
-        The legacy loop enqueues the per-destination replicas one
-        kernel event apart (each ``put`` resumes the loop at the next
-        dispatch); the chain below keeps that spacing.
-        """
-        size = sizes[i]
-        last = i == len(sizes) - 1
-
-        def done():
-            t_done = self.sim.now
-
-            def put_chain(j: int):
-                pkt = Packet(message=message, size=size, index=i,
-                             is_last=last, dst_node=dsts[j])
-                pkt.t_enqueue = t_enq
-                pkt.t_src_done = t_done
-                self._m_inject_enqueue(pkt)
-                if j + 1 < len(dsts):
-                    self.sim.defer( lambda: put_chain(j + 1))
-                elif not last:
-                    self.sim.defer( lambda: self._m_send_seg(
-                        message, t_enq, sizes, dsts, i + 1))
-                else:
-                    self.sim.schedule(
-                        0.0, lambda: self._m_send_fin(message))
-
-            put_chain(0)
-
-        self.pci.transfer_cb(size, done)
-
-    def _m_fw_send(self, message: Message, read_host_bytes: bool) -> Event:
-        t_enq = self.sim.now
-        pkts = self._segment(message, fw_origin=True)
-        done = Event(self.sim)
-        if read_host_bytes:
-            def dma(i: int):
-                pkt = pkts[i]
-                pkt.t_enqueue = t_enq
-
-                def fin():
-                    pkt.t_src_done = self.sim.now
-                    self._m_inject_enqueue(pkt)
-                    if i + 1 < len(pkts):
-                        self.sim.defer( lambda: dma(i + 1))
-                    else:
-                        done.succeed()
-
-                self.pci.transfer_cb(pkt.size, fin)
-
-            # The legacy fw_send spawns a process: its boot event costs
-            # one kernel hop before the first PCI request.
-            self.sim.defer( lambda: dma(0))
-        else:
-            # Payload already in NI memory: segments queue for
-            # injection one hand-off hop apart, after the boot hop.
-            def put_chain(i: int):
-                pkt = pkts[i]
-                pkt.t_enqueue = t_enq
-                pkt.t_src_done = t_enq
-                self._m_inject_enqueue(pkt)
-                if i + 1 < len(pkts):
-                    self.sim.defer( lambda: put_chain(i + 1))
-                else:
-                    done.succeed()
-
-            self.sim.defer( lambda: put_chain(0))
-        return done
-
-    def _m_inject_enqueue(self, pkt: Packet) -> None:
-        """The legacy ``out_queue.put`` instant: an idle inject stage
-        is woken through one kernel event (the parked getter's
-        dispatch); a busy one just buffers the packet."""
-        if self._m_inject_busy:
-            self._m_inject_q.append(pkt)
-        else:
-            self._m_inject_busy = True
-            self.sim.defer( lambda: self._m_inject_start(pkt))
-
-    def _m_inject_next(self) -> None:
-        q = self._m_inject_q
-        if q:
-            pkt = q.popleft()
-            self.sim.defer( lambda: self._m_inject_start(pkt))
-        else:
-            self._m_inject_busy = False
-
-    def _m_inject_start(self, pkt: Packet) -> None:
-        self.lanai.use_cb(
-            self.config.ni_proc_us + pkt.message.extra_src_lanai_us,
-            lambda: self._m_injected(pkt))
-
-    def _m_injected(self, pkt: Packet) -> None:
-        # LANai released at this instant.  The outbound link belongs to
-        # this driver alone and is idle (injection is strictly serial),
-        # so the link grant is immediate and the tail — transfer, wire
-        # flight, next packet's turn — expands arithmetically:
-        # ``note_span`` reserves the link occupancy and one timeout
-        # (armed one hop later, where the legacy loop would resume from
-        # its triggered link request) stands for the whole transfer.
-        svc = self.out_link.service_time(pkt.size)
-        now = self.sim._now
-        self.out_link.note_span(now, now + svc, pkt.size)
-        self.sim.schedule(
-            0.0,
-            lambda: Timeout(self.sim, svc)._callbacks.append(
-                lambda _e: self._m_inject_done(pkt)))
-
-    def _m_inject_done(self, pkt: Packet) -> None:
-        pkt.t_injected = self.sim.now
-        self.packets_sent += 1
-        self.network.deliver(pkt)
-        self._m_inject_next()
-
-    def _m_recv_enqueue(self, pkt: Packet) -> None:
-        """The legacy ``in_queue.put`` instant (see _m_inject_enqueue)."""
-        if self._m_recv_busy:
-            self._m_recv_q.append(pkt)
-        else:
-            self._m_recv_busy = True
-            self.sim.defer( lambda: self._m_recv_start(pkt))
-
-    def _m_recv_next(self) -> None:
-        q = self._m_recv_q
-        if q:
-            pkt = q.popleft()
-            self.sim.defer( lambda: self._m_recv_start(pkt))
-        else:
-            self._m_recv_busy = False
-
-    def _m_recv_start(self, pkt: Packet) -> None:
-        self.lanai.use_cb(
-            self.config.ni_proc_us + pkt.message.extra_dst_lanai_us,
-            lambda: self._m_recv_served(pkt))
-
-    def _m_drive(self, gen, on_done) -> None:
-        """Run a firmware-handler generator with the exact resume
-        pattern of the legacy ``yield from`` inside the recv process:
-        the first step runs inline, each yielded event resumes the
-        generator at that event's dispatch, and generator return
-        continues synchronously into ``on_done``."""
-        def cont(ev: Event) -> None:
-            if ev._exc is not None:
-                step(None, ev._exc)
-            else:
-                step(ev._value)
-
-        def step(value, exc=None):
-            try:
-                ev = gen.throw(exc) if exc is not None else gen.send(value)
-            except StopIteration:
-                on_done()
-                return
-            ev.add_callback(cont)
-
-        step(None)
-
-    def _m_recv_served(self, pkt: Packet) -> None:
-        if not pkt.message.deliver_to_host:
-            handler = self.fw_handlers.get(pkt.kind)
-            if handler is None:
-                raise LookupError(
-                    f"no firmware handler for kind {pkt.kind!r} "
-                    f"at node {self.node_id}")
-            sp = self.spans
-            fsid = sp.begin(
-                "ni.fw", f"ni{self.node_id}",
-                bucket=FW_SPAN_BUCKETS.get(pkt.kind, "data"),
-                link=pkt.message.span_flow, kind=pkt.kind) \
-                if sp is not None else None
-
-            def fw_done():
-                pkt.t_delivered = self.sim.now
-                self.fw_packets += 1
-                if sp is not None:
-                    sp.end(fsid)
-                self._finish(pkt)
-                self._m_recv_next()
-
-            result = handler(pkt)
-            if result is not None:
-                # Handler needs LANai time: drive its generator with
-                # legacy resume semantics, then finish the packet.
-                self._m_drive(result, fw_done)
-            else:
-                fw_done()
-        else:
-            def delivered():
-                pkt.t_delivered = self.sim.now
-                if self.on_delivery is not None:
-                    self.on_delivery(pkt)
-                self._finish(pkt)
-                self._m_recv_next()
-
-            self.pci.transfer_cb(pkt.size, delivered)
-
     def queue_depth(self) -> int:
         """Packets/descriptors queued at this NI right now, across all
         three stages (post, inject, receive) — the telemetry pipeline's
-        per-node backpressure probe.  Mode-agnostic: macro drivers keep
-        their inject/receive work in plain deques instead of Stores."""
-        depth = len(self.post_queue)
-        if self._macro:
-            return depth + len(self._m_inject_q) + len(self._m_recv_q)
-        return depth + len(self.out_queue) + len(self.in_queue)
+        per-node backpressure probe."""
+        return (len(self.post_queue) + len(self.out_queue)
+                + len(self.in_queue))
 
     def register_probes(self, sampler) -> None:
         """Join a TimeSeriesSampler (repro.obs.timeseries): sampled

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Event, Simulator, SimulationError, Timeout
+from .engine import Event, Simulator, SimulationError
 
 __all__ = ["Resource", "Store", "RateServer"]
 
@@ -87,39 +87,6 @@ class Resource:
             yield self.sim.timeout(duration)
         finally:
             self.release()
-
-    def use_cb(self, duration: float, fn) -> None:
-        """Callback twin of :meth:`use`: acquire, hold ``duration``,
-        release, then call ``fn()`` at the release instant.
-
-        The macro-event NIC drivers use this to run a station hold with
-        no generator frame.  Queueing is exact: a contended request
-        parks an event in the same FIFO as generator-based users, so
-        mixed callback/generator clients of one station keep their
-        arrival order.  The hold timeout is armed with the exact kernel
-        hops of a generator client — an immediate grant defers timeout
-        creation by one zero-delay event (the ``yield request()``
-        resume a process would pay), a queued grant arms at the grant
-        event's dispatch — so the release lands at the same position
-        within its instant as the legacy ``use`` release would.
-        """
-        self.total_requests += 1
-        if self._in_use < self.capacity:
-            # Immediate grant: the hold starts at this instant; the
-            # timeout is created one kernel event later, where a
-            # generator user would resume from the triggered request.
-            self._accrue()
-            self._in_use += 1
-            self.sim.defer(
-                lambda: Timeout(self.sim, duration)._callbacks.append(
-                    lambda _e: (self.release(), fn())))
-        else:
-            ev = _ReqEvent(self.sim)
-            ev._req_time = self.sim.now
-            self._waiters.append(ev)
-            ev._callbacks.append(
-                lambda _e: Timeout(self.sim, duration)._callbacks.append(
-                    lambda _e2: (self.release(), fn())))
 
     def _accrue(self) -> None:
         now = self.sim.now
@@ -226,11 +193,6 @@ class RateServer:
         self.name = name
         self._res = Resource(sim, 1, name=name)
         self.total_bytes = 0
-        # Arithmetic reservations (note_span): closed busy time plus
-        # the spans still open or in the future, kept separately from
-        # the event-driven Resource accounting.
-        self._span_busy = 0.0
-        self._spans: Deque = deque()
 
     def service_time(self, size_bytes: int) -> float:
         return self.overhead + size_bytes / self.bandwidth
@@ -244,40 +206,6 @@ class RateServer:
         finally:
             self._res.release()
 
-    def transfer_cb(self, size_bytes: int, fn) -> None:
-        """Callback twin of :meth:`transfer` (see Resource.use_cb):
-        queue, move ``size_bytes``, then ``fn()`` at completion."""
-        self.total_bytes += size_bytes
-        self._res.use_cb(self.service_time(size_bytes), fn)
-
-    def note_span(self, start: float, end: float, size_bytes: int) -> None:
-        """Record an arithmetically reserved occupancy ``[start, end)``.
-
-        For stations with a *single, strictly serial* client (the NI
-        outbound link: only the inject stage ever transfers on it, one
-        packet at a time) the macro-event driver computes grant and
-        completion instants in closed form and schedules no station
-        events at all; this keeps ``sample_busy`` — and with it the
-        profiler's utilization timelines — exact.  Spans must be
-        non-overlapping and appended in start order, which the serial
-        client guarantees.
-        """
-        self.total_bytes += size_bytes
-        self._spans.append((start, end))
-
-    def _sample_span_busy(self) -> float:
-        now = self.sim.now
-        spans = self._spans
-        while spans and spans[0][1] <= now:
-            s, e = spans.popleft()
-            self._span_busy += e - s
-        busy = self._span_busy
-        for s, e in spans:
-            if s >= now:
-                break
-            busy += now - s
-        return busy
-
     @property
     def queue_len(self) -> int:
         return self._res.queue_len
@@ -287,9 +215,5 @@ class RateServer:
         return self._res.in_use > 0
 
     def sample_busy(self) -> float:
-        """Cumulative station busy time as of now (see Resource),
-        including arithmetically reserved spans (:meth:`note_span`)."""
-        busy = self._res.sample_busy()
-        if self._spans or self._span_busy:
-            busy += self._sample_span_busy()
-        return busy
+        """Cumulative station busy time as of now (see Resource)."""
+        return self._res.sample_busy()

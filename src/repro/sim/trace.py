@@ -15,17 +15,15 @@ tests without threading counters everywhere.
     assert tracer.count("fetch.retry") == 0
     assert tracer.count_prefix("fetch") == len(tracer.filter("fetch"))
 
-Storage is **columnar** by default: an admitted record appends a float
+Storage is **columnar**: an admitted record appends a float
 timestamp to an ``array('d')``, an interned category id to an
 ``array('H')`` and the field dict to a parallel list — no
 :class:`TraceEvent` object, no per-record counter update.  Sequence
 numbers are implicit (``seq = dropped + index + 1``), per-category
 counts are folded lazily from the id columns, and :class:`TraceEvent`
 rows are materialized only on query, so ``to_jsonl()`` (and everything
-the sanitizer/critpath readers see) is byte-identical to the historical
-one-object-per-record sink.  That legacy sink is still available as
-``Tracer(sink="tuples")``; the golden regression tests compare the two
-bytewise on a full ladder cell.
+the sanitizer/critpath readers see) is byte-identical to encoding the
+materialized rows one by one with :meth:`TraceEvent.to_json`.
 
 ``flush()`` seals the mutable tail into a frozen segment; the profiler
 calls it once per time slice so a long traced run grows a list of
@@ -35,7 +33,7 @@ immutable column blocks instead of one ever-reallocating array.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -80,24 +78,11 @@ class Tracer:
     ``categories`` filters at record time on the *prefix* before the
     first dot (``"fetch"`` admits ``"fetch.retry"``); None records
     everything.  ``capacity`` bounds memory (oldest events drop);
-    counts are kept for all admitted events regardless.  ``sink``
-    selects the storage engine: ``"columnar"`` (default) or
-    ``"tuples"`` (the legacy one-TraceEvent-per-record deque, kept for
-    bytewise cross-validation).
+    counts are kept for all admitted events regardless.
     """
 
-    def __new__(cls, categories: Optional[Iterable[str]] = None,
-                capacity: Optional[int] = 100_000,
-                sink: str = "columnar"):
-        if sink not in ("columnar", "tuples"):
-            raise ValueError(f"unknown trace sink {sink!r}")
-        if cls is Tracer and sink == "tuples":
-            return object.__new__(_TupleTracer)
-        return object.__new__(cls)
-
     def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: Optional[int] = 100_000,
-                 sink: str = "columnar"):
+                 capacity: Optional[int] = 100_000):
         self.categories = set(categories) if categories is not None \
             else None
         self.capacity = capacity
@@ -452,71 +437,3 @@ class Tracer:
         import json
         with open(path, "w") as fh:
             json.dump(self.to_chrome_trace(rank_field=rank_field), fh)
-
-
-class _TupleTracer(Tracer):
-    """The legacy sink: one :class:`TraceEvent` per record in a deque.
-
-    Construct via ``Tracer(sink="tuples")``.  Kept as the
-    cross-validation reference for the columnar sink — the golden
-    tests assert both produce byte-identical ``to_jsonl()`` on a full
-    ladder cell — and for any external code that pokes at a live
-    ``events`` list while recording.
-    """
-
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: Optional[int] = 100_000,
-                 sink: str = "tuples"):
-        self.categories = set(categories) if categories is not None \
-            else None
-        self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
-        self._counts: Counter = Counter()
-        self._seq = 0
-        self._admit = {}
-
-    def record(self, t: float, category: str, **fields) -> None:
-        categories = self.categories
-        if categories is not None:
-            admit = self._admit.get(category)
-            if admit is None:
-                admit = category.split(".", 1)[0] in categories
-                self._admit[category] = admit
-            if not admit:
-                return
-        self._counts[category] += 1
-        self._seq += 1
-        self._events.append(TraceEvent(t=t, category=category,
-                                       fields=fields, seq=self._seq))
-
-    emit = record
-
-    def flush(self) -> None:
-        pass
-
-    def _rows(self) -> Iterator[Tuple[int, float, str, Dict[str, Any]]]:
-        for e in self._events:
-            yield e.seq, e.t, e.category, e.fields
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
-
-    def count(self, category: str) -> int:
-        return self._counts[category]
-
-    def count_prefix(self, category: str) -> int:
-        prefix = category + "."
-        return self._counts[category] + sum(
-            n for c, n in self._counts.items() if c.startswith(prefix))
-
-    def counts(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._counts.clear()
-        self._seq = 0
-
-    def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self._events)

@@ -254,6 +254,32 @@ def test_rate_server_serializes_transfers():
     assert link.total_bytes == 2000
 
 
+def test_rate_server_sample_busy_open_and_closed_spans():
+    sim = Simulator()
+    link = RateServer(sim, bandwidth_mbps=100.0, overhead_us=2.0)
+    samples = []
+
+    def sender(n):
+        for _ in range(n):
+            yield from link.transfer(1000)   # 12 us each
+
+    def sample():
+        samples.append((sim.now, link.sample_busy()))
+
+    # Three back-to-back transfers, [0, 12), [12, 24), [24, 36): the
+    # second and third are queued hand-offs, the last release idles.
+    sim.process(sender(2))
+    sim.process(sender(1))
+    for t in (5.0, 18.0, 30.0, 40.0):
+        sim.schedule(t, sample)
+    sim.run()
+    # Mid-transfer the open span counts up to now; once idle the
+    # closed total stays put.
+    assert samples == [(5.0, 5.0), (18.0, 18.0), (30.0, 30.0),
+                       (40.0, 36.0)]
+    assert link.sample_busy() == 36.0
+
+
 def test_rate_server_rejects_nonpositive_bandwidth():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -227,15 +227,7 @@ def test_trace_event_ordering_is_chronological():
     assert times == sorted(times)
 
 
-# -- columnar vs legacy tuple sink -----------------------------------------
-
-
-def test_sink_arg_validated_and_selects_engine():
-    import pytest
-    with pytest.raises(ValueError):
-        Tracer(sink="parquet")
-    assert type(Tracer(sink="tuples")) is not type(Tracer())
-    assert isinstance(Tracer(sink="tuples"), Tracer)
+# -- columnar sink against independent oracles -----------------------------
 
 
 def _fill(tr, n=500):
@@ -244,48 +236,60 @@ def _fill(tr, n=500):
     return tr
 
 
-def test_columnar_jsonl_matches_tuple_sink_bytewise():
+def _per_event_jsonl(tr):
+    """Oracle: encode the materialized rows one by one (to_jsonl
+    encodes straight from the columns)."""
+    return "\n".join(e.to_json() for e in tr.events)
+
+
+def test_columnar_jsonl_matches_per_event_encoding():
     col = _fill(Tracer(capacity=None))
-    tup = _fill(Tracer(capacity=None, sink="tuples"))
-    assert col.to_jsonl() == tup.to_jsonl()
-    assert col.counts() == tup.counts()
-    assert col.events == tup.events
+    assert col.to_jsonl() == _per_event_jsonl(col)
+    assert col.events == [
+        TraceEvent(t=float(i) / 8, category=f"fam.{i % 7}",
+                   fields={"gid": i, "rank": i % 4}, seq=i + 1)
+        for i in range(500)]
+    assert col.counts() == {f"fam.{k}": len(range(k, 500, 7))
+                            for k in range(7)}
 
 
-def test_columnar_matches_tuple_sink_under_eviction():
-    col = _fill(Tracer(capacity=64), n=1000)
-    tup = _fill(Tracer(capacity=64, sink="tuples"), n=1000)
-    assert col.to_jsonl() == tup.to_jsonl()
-    assert col.counts() == tup.counts()          # counts cover dropped
-    assert [e.seq for e in col.events] == [e.seq for e in tup.events]
-    assert col.count_prefix("fam") == 1000
+def test_bounded_tracer_matches_unbounded_tail():
+    bounded = _fill(Tracer(capacity=64), n=1000)
+    full = _fill(Tracer(capacity=None), n=1000)
+    assert bounded.events == full.events[-64:]   # same seq values
+    assert bounded.to_jsonl() == _per_event_jsonl(bounded)
+    assert bounded.to_jsonl() == "\n".join(
+        full.to_jsonl().split("\n")[-64:])
+    assert bounded.counts() == full.counts()     # counts cover dropped
+    assert bounded.count_prefix("fam") == 1000
 
 
 def test_columnar_flush_is_transparent():
-    col = Tracer(capacity=None)
-    tup = Tracer(capacity=None, sink="tuples")
+    flushed = Tracer(capacity=None)
+    plain = Tracer(capacity=None)
     for i in range(300):
-        col.record(float(i), "x", i=i)
-        tup.record(float(i), "x", i=i)
+        flushed.record(float(i), "x", i=i)
+        plain.record(float(i), "x", i=i)
         if i % 37 == 0:
-            col.flush()
-            tup.flush()
-    col.flush()
-    assert col.to_jsonl() == tup.to_jsonl()
-    assert col.between(10.0, 20.0) == tup.between(10.0, 20.0)
-    assert col.filter("x") == tup.filter("x")
+            flushed.flush()
+    flushed.flush()
+    assert flushed.to_jsonl() == plain.to_jsonl()
+    assert flushed.events == plain.events
+    assert flushed.between(10.0, 20.0) == plain.between(10.0, 20.0)
+    assert flushed.filter("x") == plain.filter("x")
 
 
 def test_columnar_flush_with_eviction_keeps_window_exact():
     col = Tracer(capacity=100)
-    tup = Tracer(capacity=100, sink="tuples")
+    full = Tracer(capacity=None)
     for i in range(1000):
         col.record(float(i), "y", i=i)
-        tup.record(float(i), "y", i=i)
+        full.record(float(i), "y", i=i)
         if i % 23 == 0:
             col.flush()
-    assert col.to_jsonl() == tup.to_jsonl()
-    assert col.counts() == tup.counts()
+    assert col.events == full.events[-100:]
+    assert col.to_jsonl() == _per_event_jsonl(col)
+    assert col.counts() == full.counts() == {"y": 1000}
 
 
 def test_columnar_clear_resets_but_keeps_admission_memo():
@@ -300,16 +304,15 @@ def test_columnar_clear_resets_but_keeps_admission_memo():
 
 
 def test_columnar_sink_full_ladder_cell_bytewise():
-    """Golden: both sinks on one full SVM ladder cell, byte-identical."""
+    """Golden: one full SVM ladder cell, column encoding byte-identical
+    to the per-event encoding."""
     from repro.apps import APP_REGISTRY
     from repro.runtime.runner import run_svm
     from repro.svm import GENIMA
 
-    outs = {}
-    for sink in ("columnar", "tuples"):
-        tracer = Tracer(capacity=None, sink=sink)
-        run_svm(APP_REGISTRY["FFT"](), GENIMA,
-                config=MachineConfig(), tracer=tracer)
-        outs[sink] = tracer.to_jsonl()
-    assert outs["columnar"] == outs["tuples"]
-    assert outs["columnar"]  # non-trivial trace
+    tracer = Tracer(capacity=None)
+    run_svm(APP_REGISTRY["FFT"](), GENIMA,
+            config=MachineConfig(), tracer=tracer)
+    out = tracer.to_jsonl()
+    assert out  # non-trivial trace
+    assert out == _per_event_jsonl(tracer)
