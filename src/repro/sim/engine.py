@@ -104,7 +104,7 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        self.sim._push_triggered(self)
+        self.sim._fifo.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -113,7 +113,7 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._exc = exc
-        self.sim._push_triggered(self)
+        self.sim._fifo.append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -122,11 +122,6 @@ class Event:
             fn(self)
         else:
             self._callbacks.append(fn)
-
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, _CONSUMED
-        for fn in callbacks:
-            fn(self)
 
 
 class _Consumed(list):
@@ -145,9 +140,9 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        # Flattened Event.__init__ + scheduling: one Timeout per station
-        # hold makes this constructor a hot-path allocation, so it pays
-        # to skip the super() call and the ``now`` property.
+        # Flattened Event.__init__ + calendar insert: one Timeout per
+        # station hold makes this constructor a hot-path allocation, so
+        # it pays to skip the super() call and every helper call.
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self.sim = sim
@@ -155,7 +150,17 @@ class Timeout(Event):
         self._exc = None
         self._triggered = True
         self._callbacks = []
-        sim._schedule_at(sim._now + delay, self)
+        now = sim._now
+        when = now + delay
+        if when <= now:
+            sim._fifo.append(self)
+            return
+        page = sim._pages.get(when)
+        if page is None:
+            sim._pages[when] = [self]
+            heapq.heappush(sim._times, when)
+        else:
+            page.append(self)
 
 
 class Process(Event):
@@ -167,7 +172,8 @@ class Process(Event):
     propagates at :meth:`Simulator.run` time if nobody waits on it).
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "_waiting_on", "name")
+    __slots__ = ("_gen", "_send", "_throw", "_resume_cb", "_waiting_on",
+                 "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
@@ -175,11 +181,12 @@ class Process(Event):
         # Bound-method caches: every resume costs one of these lookups.
         self._send = gen.send
         self._throw = gen.throw
+        self._resume_cb = self._resume
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current instant.
         boot = Event(sim)
-        boot.add_callback(self._resume)
+        boot._callbacks.append(self._resume_cb)
         boot.succeed()
 
     @property
@@ -194,46 +201,49 @@ class Process(Event):
         if target is not None:
             # Detach: the interrupted wait no longer resumes us.
             try:
-                target._callbacks.remove(self._resume)
+                target._callbacks.remove(self._resume_cb)
             except (ValueError, SimulationError):
                 pass
         self._waiting_on = None
         kick = Event(self.sim)
-        kick.add_callback(lambda _ev: self._step(Interrupt(cause)))
-        kick.succeed()
+        kick._callbacks.append(self._resume_cb)
+        kick.fail(Interrupt(cause))
 
     # -- kernel internals ------------------------------------------------
 
     def _resume(self, ev: Event) -> None:
-        self._waiting_on = None
-        if ev._exc is not None:
-            self._step(ev._exc)
-        else:
-            self._step(None, ev._value)
-
-    def _step(self, exc: Optional[BaseException], value: Any = None) -> None:
-        try:
-            if exc is not None:
-                target = self._throw(exc)
-            else:
-                target = self._send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
+        """Send ``ev``'s outcome into the generator, then wait on what
+        it yields.  An already-dispatched target resumes at once, in
+        this loop rather than by recursion."""
+        while True:
+            self._waiting_on = None
+            try:
+                if ev._exc is not None:
+                    target = self._throw(ev._exc)
+                else:
+                    target = self._send(ev._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as err:  # noqa: BLE001 - process crashed
+                self.fail(err)
+                self.sim._note_crash(self, err)
+                return
+            if not isinstance(target, Event):
+                self._gen.close()
+                err = SimulationError(
+                    f"process {self.name!r} yielded {target!r}, not an Event"
+                )
+                self.fail(err)
+                self.sim._note_crash(self, err)
+                return
+            callbacks = target._callbacks
+            if callbacks is _CONSUMED:
+                ev = target
+                continue
+            self._waiting_on = target
+            callbacks.append(self._resume_cb)
             return
-        except BaseException as err:  # noqa: BLE001 - process crashed
-            self.fail(err)
-            self.sim._note_crash(self, err)
-            return
-        if not isinstance(target, Event):
-            self._gen.close()
-            err = SimulationError(
-                f"process {self.name!r} yielded {target!r}, not an Event"
-            )
-            self.fail(err)
-            self.sim._note_crash(self, err)
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
 
 
 def _detach(events, cbs) -> None:
@@ -418,6 +428,7 @@ class Simulator:
         pages = self._pages
         times = self._times
         heappop = heapq.heappop
+        consumed = _CONSUMED
         hooks = self._slice_hooks
         crashed = self._crashed
         dispatched = 0
@@ -451,7 +462,10 @@ class Simulator:
                         fifo.extend(page)
                         ev = fifo.popleft()
                 dispatched += 1
-                ev._dispatch()
+                callbacks = ev._callbacks
+                ev._callbacks = consumed
+                for fn in callbacks:
+                    fn(ev)
                 if crashed:
                     _proc, err = crashed[0]
                     raise err
@@ -480,20 +494,6 @@ class Simulator:
         return self._times[0] if self._times else float("inf")
 
     # -- kernel internals ----------------------------------------------------
-
-    def _push_triggered(self, ev: Event) -> None:
-        self._fifo.append(ev)
-
-    def _schedule_at(self, when: float, ev: Event) -> None:
-        if when <= self._now:
-            self._fifo.append(ev)
-            return
-        page = self._pages.get(when)
-        if page is None:
-            self._pages[when] = [ev]
-            heapq.heappush(self._times, when)
-        else:
-            page.append(ev)
 
     def _note_crash(self, proc: Process, err: BaseException) -> None:
         self._crashed.append((proc, err))

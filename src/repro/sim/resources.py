@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Event, Simulator, SimulationError
+from .engine import Event, Simulator, SimulationError, Timeout
 
 __all__ = ["Resource", "Store", "RateServer"]
 
@@ -60,7 +60,7 @@ class Resource:
         """Return an event that fires when a slot is granted."""
         self.total_requests += 1
         ev = _ReqEvent(self.sim)
-        ev._req_time = self.sim.now
+        ev._req_time = self.sim._now
         if self._in_use < self.capacity:
             self._accrue()
             self._in_use += 1
@@ -74,7 +74,7 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
             ev = self._waiters.popleft()
-            self.total_wait_time += self.sim.now - ev._req_time
+            self.total_wait_time += self.sim._now - ev._req_time
             ev.succeed()
         else:
             self._accrue()
@@ -84,12 +84,12 @@ class Resource:
         """Generator helper: acquire, hold for ``duration``, release."""
         yield self.request()
         try:
-            yield self.sim.timeout(duration)
+            yield Timeout(self.sim, duration)
         finally:
             self.release()
 
     def _accrue(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         self.busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
@@ -100,7 +100,7 @@ class Resource:
         sampling (``repro.obs``) needs the value mid-span without
         mutating accounting state.
         """
-        return self.busy_time + self._in_use * (self.sim.now
+        return self.busy_time + self._in_use * (self.sim._now
                                                 - self._last_change)
 
 
@@ -139,7 +139,7 @@ class Store:
         self.total_puts += 1
         ev = _ReqEvent(self.sim)
         ev._item = item
-        ev._req_time = self.sim.now
+        ev._req_time = self.sim._now
         if self._getters:
             getter = self._getters.popleft()
             getter.succeed(item)
@@ -154,7 +154,7 @@ class Store:
 
     def get(self) -> Event:
         """Remove the oldest item; the event fires with the item."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._items:
             item = self._items.popleft()
             self._admit_waiting_putter()
@@ -169,7 +169,7 @@ class Store:
             self._items.append(pev._item)
             self.max_occupancy = max(self.max_occupancy, len(self._items))
             self.total_put_stall_time += (
-                self.sim.now - pev._req_time
+                self.sim._now - pev._req_time
             )
             pev.succeed()
 
@@ -200,11 +200,13 @@ class RateServer:
     def transfer(self, size_bytes: int):
         """Generator: queue for the station and move ``size_bytes``."""
         self.total_bytes += size_bytes
-        yield self._res.request()
+        res = self._res
+        yield res.request()
         try:
-            yield self.sim.timeout(self.service_time(size_bytes))
+            yield Timeout(self.sim,
+                          self.overhead + size_bytes / self.bandwidth)
         finally:
-            self._res.release()
+            res.release()
 
     @property
     def queue_len(self) -> int:

@@ -44,24 +44,25 @@ class MprotectModel:
 
     def cost_us(self, pages: Iterable[int]) -> float:
         """Cost of protecting ``pages``, with coalescing (no accounting)."""
+        return self._cost(coalesce_pages(pages))
+
+    def protect(self, node: int, pages: Iterable[int]) -> float:
+        """Account one protection change on ``node``; returns its cost."""
         runs = coalesce_pages(pages)
+        cost = self._cost(runs)
+        if cost > 0:
+            self.total_us[node] += cost
+            self.calls[node] += len(runs)
+            self.pages_protected[node] += sum(c for _f, c in runs)
+        return cost
+
+    def _cost(self, runs: List[Tuple[int, int]]) -> float:
         if not runs:
             return 0.0
         cfg = self.config
         n_pages = sum(count for _first, count in runs)
         return (len(runs) * cfg.mprotect_call_us
                 + (n_pages - len(runs)) * cfg.mprotect_page_us)
-
-    def protect(self, node: int, pages: Iterable[int]) -> float:
-        """Account one protection change on ``node``; returns its cost."""
-        pages = list(pages)
-        cost = self.cost_us(pages)
-        if cost > 0:
-            runs = coalesce_pages(pages)
-            self.total_us[node] += cost
-            self.calls[node] += len(runs)
-            self.pages_protected[node] += sum(c for _f, c in runs)
-        return cost
 
     @property
     def grand_total_us(self) -> float:

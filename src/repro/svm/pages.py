@@ -78,12 +78,18 @@ class SharedRegion:
 
 
 class PageDirectory:
-    """Allocates regions and maps global page ids to homes/regions."""
+    """Allocates regions and maps global page ids to homes/regions.
+
+    Regions are laid out back to back from gid 0, so a flat gid-indexed
+    list mirrors every region's ``homes``; :meth:`set_home` is the only
+    writer of either.
+    """
 
     def __init__(self, config: MachineConfig):
         self.config = config
         self.regions: Dict[str, SharedRegion] = {}
         self._by_base: List[SharedRegion] = []
+        self._homes: List[Optional[int]] = []
         self._next_base = 0
 
     def allocate(self, name: str, n_pages: int,
@@ -129,6 +135,7 @@ class PageDirectory:
                               self.config.page_size, concrete=concrete)
         self.regions[name] = region
         self._by_base.append(region)
+        self._homes.extend(homes)
         self._next_base += n_pages
         return region
 
@@ -142,9 +149,18 @@ class PageDirectory:
                 return region
         raise KeyError(f"gid {gid} not allocated")
 
-    def home_of(self, gid: int) -> int:
+    def home_of(self, gid: int) -> Optional[int]:
+        """Home node of ``gid`` (None while a first-touch page is
+        unassigned)."""
+        if 0 <= gid < self._next_base:
+            return self._homes[gid]
+        raise KeyError(f"gid {gid} not allocated")
+
+    def set_home(self, gid: int, node: int) -> None:
+        """Make ``node`` the home of ``gid``."""
         region = self.region_of(gid)
-        return region.home_of(gid - region.base)
+        region.homes[gid - region.base] = node
+        self._homes[gid] = node
 
 
 @dataclass

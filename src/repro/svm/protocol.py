@@ -169,8 +169,7 @@ class HLRCProtocol:
         """
         home = self.directory.home_of(gid)
         if home is None:
-            region = self.directory.region_of(gid)
-            region.homes[gid - region.base] = toucher_node
+            self.directory.set_home(gid, toucher_node)
             self.vmmc.exports.export(toucher_node, gid)
             self.home_allocations += 1
             home = toucher_node
@@ -204,7 +203,7 @@ class HLRCProtocol:
             yield from self.vmmc.fetch(node_id, old,
                                        self.config.page_size + 64,
                                        track=rank_track(rank))
-            region.homes[index] = node_id
+            self.directory.set_home(gid, node_id)
             self.vmmc.exports.export(node_id, gid)
             # Tell everyone where the page now lives.
             for other in range(self.config.nodes):
@@ -667,6 +666,7 @@ class HLRCProtocol:
             return
         sp = self.spans if track is not None else None
         if self.features.ni_multicast:
+            # wn_messages counts posted descriptors, not destinations.
             self.wn_messages += 1
             fids = {o: sp.flow(track, "wn", "acqrel", dst=o)
                     for o in others} if sp is not None else {}
@@ -677,7 +677,7 @@ class HLRCProtocol:
                                      fid=fids.get(pkt.dst)))
             return
         for other in others:
-            self.wn_messages += 1
+            self.wn_messages += 1  # one posted descriptor per destination
             fid = sp.flow(track, "wn", "acqrel", dst=other) \
                 if sp is not None else None
             yield from self.vmmc.send(
@@ -730,16 +730,24 @@ class HLRCProtocol:
         if want.dominates(have) and want == have:
             return
         before = have.values
-        notices = self.interval_log.notices_between(have, want)
+        intervals_between = self.interval_log.intervals_between
+        home_of = self.directory.home_of
         table = self.tables[node_id]
         to_protect = []
-        for wn in notices:
-            if wn.node == node_id:
+        # The notices of IntervalLog.notices_between, in its node ->
+        # interval -> page order, without building them; the node's own
+        # window is still checked for closure, then skipped.
+        for writer in range(self.config.nodes):
+            intervals = intervals_between(writer, have[writer],
+                                          want[writer])
+            if writer == node_id:
                 continue
-            is_home = self.directory.home_of(wn.page) == node_id
-            if table.invalidate(wn.page, wn.node, wn.interval,
-                                is_home=is_home):
-                to_protect.append(wn.page)
+            for interval in intervals:
+                index = interval.index
+                for page in interval.pages:
+                    if table.invalidate(page, writer, index,
+                                        is_home=home_of(page) == node_id):
+                        to_protect.append(page)
         self.node_clock[node_id].merge(want)
         self._trace("clock.advance", node=node_id,
                     clock=self.node_clock[node_id].values,
@@ -867,8 +875,8 @@ class HLRCProtocol:
                 size = WN_BASE_BYTES
             else:
                 have = self.node_clock[other]
-                size = WN_BASE_BYTES + WN_PER_PAGE_BYTES * len(
-                    self.interval_log.notices_between(have, ts))
+                size = WN_BASE_BYTES + WN_PER_PAGE_BYTES * (
+                    self.interval_log.count_between(have, ts))
             fid = sp.flow(track, "flag", "acqrel", dst=other) \
                 if sp is not None else None
             yield from self.vmmc.send(

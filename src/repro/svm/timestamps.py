@@ -138,3 +138,10 @@ class IntervalLog:
                     node, have[node], want[node]):
                 out.extend(interval.notices())
         return out
+
+    def count_between(self, have: VectorClock, want: VectorClock) -> int:
+        """``len(notices_between(have, want))``, without the notices."""
+        return sum(len(interval.pages)
+                   for node in range(self.nodes)
+                   for interval in self.intervals_between(
+                       node, have[node], want[node]))

@@ -14,7 +14,9 @@ import hashlib
 import pytest
 
 from repro import BASE, GENIMA, run_sequential, run_svm, speedup
-from repro.apps import BarnesSpatial, WaterNsquared, WaterSpatial
+from repro.apps import FFT, BarnesSpatial, WaterNsquared, WaterSpatial
+from repro.hw import MachineConfig
+from repro.runtime import SVMBackend, run_on_backend
 from repro.sim import Tracer
 
 
@@ -112,3 +114,22 @@ def test_spans_do_not_perturb_the_schedule():
             kept.append((e.t, e.category, e.fields))
     assert span_count > 0
     assert kept == base
+
+
+#: (app, features, kernel events dispatched) on the default config.
+#: The trace pins above fix what happened; these fix how many kernel
+#: events it took, so a kernel change that drops or adds events (and
+#: with them the benchmark's events/s) fails here.
+EVENT_PINS = [
+    (WaterSpatial, BASE, 33_864),
+    (BarnesSpatial, GENIMA, 196_415),
+    (FFT, BASE, 162_420),
+]
+
+
+@pytest.mark.parametrize("app_cls,features,events", EVENT_PINS,
+                         ids=["water-base", "barnes-genima", "fft-base"])
+def test_events_dispatched_pinned(app_cls, features, events):
+    backend = SVMBackend(MachineConfig(), features)
+    run_on_backend(app_cls(), backend, system=features.name)
+    assert backend.sim.events_dispatched == events

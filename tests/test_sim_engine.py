@@ -454,3 +454,78 @@ def test_events_dispatched_counter_accumulates():
     sim.process(proc())
     sim.run()
     assert sim.events_dispatched > first
+
+
+# -- the single resume path ------------------------------------------------
+
+
+def test_interrupt_detaches_from_long_lived_event():
+    sim = Simulator()
+    shared = sim.event()
+    log = []
+
+    def waiter():
+        try:
+            yield shared
+            log.append("resumed")
+        except Interrupt as intr:
+            log.append(("interrupted", intr.cause))
+        yield sim.timeout(10.0)
+        log.append(("done", sim.now))
+
+    p = sim.process(waiter())
+    sim.run(until=1.0)
+    assert len(shared._callbacks) == 1
+    p.interrupt("go")
+    assert shared._callbacks == []
+    sim.schedule(2.0, lambda: shared.succeed("late"))
+    sim.run()
+    assert log == [("interrupted", "go"), ("done", 11.0)]
+
+
+def test_failed_event_is_thrown_into_waiter_pending_and_dispatched():
+    sim = Simulator()
+    pending = sim.event()
+    dispatched = sim.event()
+    dispatched.fail(KeyError("early"))
+    caught = []
+
+    def waiter():
+        try:
+            yield pending
+        except RuntimeError as err:
+            caught.append((sim.now, str(err)))
+        yield sim.timeout(1.0)
+        # Already dispatched: resumed in place, exception thrown in.
+        try:
+            yield dispatched
+        except KeyError as err:
+            caught.append((sim.now, err.args[0]))
+
+    sim.process(waiter())
+    sim.schedule(3.0, lambda: pending.fail(RuntimeError("boom")))
+    sim.run()
+    assert caught == [(3.0, "boom"), (4.0, "early")]
+
+
+def test_non_event_after_in_place_resume_fails_the_process():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed()
+    closed = []
+
+    def bad():
+        try:
+            yield done
+            yield done
+            yield "not an event"
+        finally:
+            closed.append(True)
+
+    sim.run()
+    proc = sim.process(bad())
+    with pytest.raises(SimulationError, match="not an Event"):
+        sim.run()
+    assert proc.triggered and not proc.ok
+    assert isinstance(proc._exc, SimulationError)
+    assert closed == [True]

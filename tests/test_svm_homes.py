@@ -174,3 +174,26 @@ def test_migration_after_remote_reads_preserves_versions():
     assert region.homes[0] == 1
     assert proto._homes[gid].applied.get(1, 0) >= 1
     assert proto.tables[0].access(gid) is PageAccess.READ
+
+
+# --------------------------------------------------- directory agreement
+
+def test_home_of_agrees_with_region_after_first_touch_and_migration():
+    machine, proto = make(BASE)
+    region = proto.allocate("ft", 4, home_policy="first_touch")
+
+    def toucher():
+        yield from proto.write(9, region, [1], runs_per_page=1,
+                               bytes_per_page=64)   # node 2
+        yield from proto.barrier(9)
+        yield from proto.migrate_home(13, region, 1)  # to node 3
+
+    def others(rank):
+        yield from proto.barrier(rank)
+
+    run_all(machine, [toucher()] + [others(r) for r in range(16)
+                                    if r != 9])
+    homes = [proto.directory.home_of(g) for g in region.gids(range(4))]
+    assert homes == region.homes == [None, 3, None, None]
+    assert proto.home_allocations == 1
+    assert proto.home_migrations == 1

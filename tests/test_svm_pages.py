@@ -235,3 +235,36 @@ def test_mprotect_empty_is_free():
     m = MprotectModel(CFG)
     assert m.protect(0, []) == 0.0
     assert m.calls[0] == 0
+
+
+def test_home_of_rejects_gids_outside_the_directory():
+    d = PageDirectory(CFG)
+    d.allocate("a", 4)
+    d.allocate("b", 3)
+    assert d.home_of(6) == d.regions["b"].homes[2]
+    for gid in (-1, d.total_pages):
+        with pytest.raises(KeyError):
+            d.home_of(gid)
+
+
+def test_set_home_updates_region_and_lookup():
+    d = PageDirectory(CFG)
+    d.allocate("a", 4)
+    b = d.allocate("b", 3, home_policy="first_touch")
+    assert d.home_of(b.gid(1)) is None
+    d.set_home(b.gid(1), 2)
+    assert b.homes == [None, 2, None]
+    assert [d.home_of(g) for g in b.gids(range(3))] == b.homes
+
+
+def test_mprotect_protect_matches_cost_and_counts():
+    m = MprotectModel(CFG)
+    pages = (9, 3, 4, 5, 9, 12, 11)   # runs (3,3), (9,1), (11,2)
+    expected = m.cost_us(pages)
+    assert m.protect(2, iter(pages)) == expected
+    assert m.calls[2] == 3
+    assert m.pages_protected[2] == 6
+    assert m.total_us[2] == expected
+    assert m.protect(2, [40]) == m.cost_us([40])
+    assert m.calls[2] == 4
+    assert m.pages_protected[2] == 7

@@ -190,3 +190,22 @@ def test_notices_between_inverted_entry_is_empty():
     have = VectorClock(values=[2, 0])
     want = VectorClock(values=[1, 0])
     assert log.notices_between(have, want) == []
+
+
+@given(st.lists(st.lists(st.integers(0, 50), max_size=4),
+                min_size=1, max_size=12),
+       st.data())
+def test_count_between_matches_notices_between(writes, data):
+    nodes = 3
+    log = IntervalLog(nodes)
+    for i, pages in enumerate(writes):
+        node = i % nodes
+        log.append(Interval(node, log.current_index(node) + 1,
+                            tuple(pages)))
+    closed = [log.current_index(n) for n in range(nodes)]
+    have = VectorClock(values=[data.draw(st.integers(0, c))
+                               for c in closed])
+    want = VectorClock(values=[data.draw(st.integers(0, c))
+                               for c in closed])
+    assert log.count_between(have, want) == len(
+        log.notices_between(have, want))
