@@ -31,12 +31,12 @@ A ``scale`` section times datacenter-scale machine construction
 (64/256/1024 nodes, lazy metrics) and records a small KVStore
 speedup-vs-nodes curve on crossbar and fat-tree fabrics.
 
-A ``serve`` section benchmarks the `repro serve` daemon: 4 concurrent
-clients cold-submitting the same grid (recording the single-flight
-dedup ratio and asserting each digest computed exactly once and
-byte-identity with the in-process run), then repeated warm
-resubmissions for p50/p99 submit-to-result latency and requests/sec
-(gate: warm p50 < 10 ms).
+A ``shared_store`` section runs 4 concurrent client processes (forked,
+imports already done) cold on the same grid against one empty store,
+with no daemon: the store's per-digest claims make them split the
+grid.  It records cells computed vs requested, the dedup ratio and
+per-client seconds, and asserts each unique digest computed exactly
+once and byte-identity with the in-process jobs=1 run.
 
 Pool modes with ``jobs > cpu_count`` are annotated ``oversubscribed``:
 on such a box the extra workers only add scheduling overhead, so a
@@ -187,103 +187,67 @@ def scale_bench() -> dict:
     }
 
 
-def _pct(sorted_vals, q: float) -> float:
-    idx = min(len(sorted_vals) - 1, round(q * (len(sorted_vals) - 1)))
-    return sorted_vals[idx]
+N_CLIENTS = 4
 
 
-WARM_ITERS = 30
+def _shared_store_client(root: Path, barrier, queue) -> None:
+    """One client: map the grid through the shared store, counting the
+    cells this process evaluated itself."""
+    from repro.runtime import parallel
+    evaluate = parallel.evaluate_cell
+    computed = []
+
+    def counting(spec):
+        computed.append(spec)
+        return evaluate(spec)
+
+    parallel.evaluate_cell = counting
+    barrier.wait(60)
+    t0 = time.perf_counter()  # repro: noqa[wall-clock] — benchmarks wall time
+    out = GridExecutor(jobs=1, store=ResultStore(root)).map(grid_specs())
+    elapsed = time.perf_counter() - t0  # repro: noqa[wall-clock] — benchmarks wall time
+    queue.put({"seconds": elapsed, "computed": len(computed),
+               "encoded": {d: encode_result(r) for d, r in out.items()}})
 
 
-def serve_bench(reference_encoded: dict) -> dict:
-    """The daemon under load: 4 concurrent cold clients submitting the
-    same 10-cell grid (single-flight dedup), then repeated warm
-    resubmission against the daemon's in-memory memo.
-
-    Asserts the serving acceptance criteria: each unique digest
-    computed exactly once across the 4 clients, payloads byte-identical
-    to the in-process jobs=1 grid, and warm resubmission p50 under
-    10 ms.
-    """
-    import threading
-
-    from repro.serve import DaemonThread, ServeClient
-
-    specs = grid_specs()
-    n_clients = 4
-    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-serve-"))
+def shared_store_bench(reference_encoded: dict) -> dict:
+    """4 concurrent cold clients on one empty store, single flight by
+    the store's claims alone: every unique digest computed exactly
+    once, every client byte-identical to the in-process jobs=1 grid."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    barrier, queue = ctx.Barrier(N_CLIENTS), ctx.Queue()
+    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-shared-"))
     try:
-        with DaemonThread(workers="thread", jobs=1,
-                          store=ResultStore(tmp)) as handle:
-            cold_s, payloads, errors = {}, {}, []
-            barrier = threading.Barrier(n_clients)
-
-            def one_client(idx: int) -> None:
-                try:
-                    barrier.wait(timeout=60.0)
-                    t0 = time.perf_counter()  # repro: noqa[wall-clock] — benchmarks wall time
-                    payloads[idx] = ServeClient(handle.url).submit(specs)
-                    cold_s[idx] = time.perf_counter() - t0  # repro: noqa[wall-clock] — benchmarks wall time
-                except Exception as err:  # surfaced below
-                    errors.append(err)
-
-            threads = [threading.Thread(target=one_client, args=(i,))
-                       for i in range(n_clients)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors, errors
-
-            counters = ServeClient(handle.url).stats()["counters"]
-            assert counters["computed"] == len(specs), \
-                "single-flight violated: a digest computed more than once"
-            dedup_ratio = 1.0 - counters["computed"] / counters["cells"]
-            for idx in range(n_clients):
-                assert payloads[idx].keys() == reference_encoded.keys()
-                for digest, payload in payloads[idx].items():
-                    assert payload["result"] == reference_encoded[digest], \
-                        "daemon payload diverged from in-process jobs=1"
-
-            warm_client = ServeClient(handle.url)
-            warm_ms = []
-            t_all0 = time.perf_counter()  # repro: noqa[wall-clock] — benchmarks wall time
-            for _ in range(WARM_ITERS):
-                t0 = time.perf_counter()  # repro: noqa[wall-clock] — benchmarks wall time
-                warm_client.submit(specs)
-                warm_ms.append(1e3 * (time.perf_counter() - t0))  # repro: noqa[wall-clock] — benchmarks wall time
-            warm_total_s = time.perf_counter() - t_all0  # repro: noqa[wall-clock] — benchmarks wall time
+        procs = [ctx.Process(target=_shared_store_client,
+                             args=(tmp, barrier, queue))
+                 for _ in range(N_CLIENTS)]
+        for proc in procs:
+            proc.start()
+        clients = [queue.get(timeout=600) for _ in procs]
+        for proc in procs:
+            proc.join()
+        assert all(proc.exitcode == 0 for proc in procs)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    warm_ms.sort()
-    cold_sorted = sorted(cold_s.values())
-    warm_p50 = _pct(warm_ms, 0.50)
-    assert warm_p50 < 10.0, \
-        f"warm resubmission p50 {warm_p50:.1f} ms >= 10 ms gate"
+    requested = N_CLIENTS * len(reference_encoded)
+    computed = sum(c["computed"] for c in clients)
+    assert computed == len(reference_encoded), \
+        f"single flight violated: {computed} computations"
+    for client in clients:
+        assert client["encoded"] == reference_encoded, \
+            "shared-store client diverged from in-process jobs=1"
     return {
-        "grid_cells": len(specs),
-        "clients": n_clients,
-        "cold": {
-            "per_client_seconds": [round(s, 3) for s in cold_sorted],
-            "p50_ms": round(1e3 * _pct(cold_sorted, 0.50), 1),
-            "p99_ms": round(1e3 * _pct(cold_sorted, 0.99), 1),
-        },
-        "warm": {
-            "iterations": WARM_ITERS,
-            "p50_ms": round(warm_p50, 2),
-            "p99_ms": round(_pct(warm_ms, 0.99), 2),
-            "requests_per_sec": round(WARM_ITERS / warm_total_s, 1),
-        },
-        "dedup": {
-            "cells_requested": counters["cells"],
-            "computed": counters["computed"],
-            "attached": counters["attached"],
-            "memo_hits": counters["memo_hits"],
-            "ratio": round(dedup_ratio, 3),
-        },
+        "grid_cells": len(reference_encoded),
+        "clients": N_CLIENTS,
+        "cells_requested": requested,
+        "computed": computed,
+        "computed_per_client": sorted(c["computed"] for c in clients),
+        "dedup_ratio": round(1.0 - computed / requested, 3),
+        "per_client_seconds": sorted(round(c["seconds"], 3)
+                                     for c in clients),
         "byte_identical_to_inprocess": True,
-        "warm_p50_under_10ms": True,
     }
 
 
@@ -325,12 +289,12 @@ def main(out: str) -> None:
               f"{scale['machine_construction_ms']['1024']:.0f} ms, "
               f"KVStore curve ({len(scale['kvstore_curve'])} cells) in "
               f"{scale['curve_seconds']:.1f}s")
-        serve = serve_bench(results["cold_jobs1"])
-        print(f"serve: {serve['clients']} clients x "
-              f"{serve['grid_cells']} cells, dedup ratio "
-              f"{serve['dedup']['ratio']:.2f}, warm p50 "
-              f"{serve['warm']['p50_ms']:.1f} ms "
-              f"({serve['warm']['requests_per_sec']:.0f} req/s)")
+        shared = shared_store_bench(results["cold_jobs1"])
+        print(f"shared store: {shared['clients']} clients x "
+              f"{shared['grid_cells']} cells, {shared['computed']} of "
+              f"{shared['cells_requested']} computed (dedup ratio "
+              f"{shared['dedup_ratio']:.2f}), "
+              f"{max(shared['per_client_seconds']):.2f}s slowest client")
         doc = {
             "grid": {"apps": list(APPS),
                      "variants": [f.name for f in PROTOCOL_LADDER],
@@ -350,7 +314,7 @@ def main(out: str) -> None:
             "engine": engine,
             "telemetry": telemetry,
             "scale": scale,
-            "serve": serve,
+            "shared_store": shared,
         }
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

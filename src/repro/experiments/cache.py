@@ -40,10 +40,9 @@ class ExperimentCache:
     :class:`~repro.runtime.parallel.ResultStore`) makes the cache
     persistent.  Both default off, which reproduces the old in-process
     memo exactly.  ``executor`` replaces the whole evaluation engine —
-    anything with ``map(specs) -> {digest: obj}`` — which is how grids
-    route through a `repro serve` daemon
-    (:class:`~repro.serve.RemoteExecutor`) without the drivers
-    changing at all.
+    anything with ``map(specs) -> {digest: obj}`` — so a caller can
+    wrap the grid executor (to time each cell, say) without the
+    drivers changing at all.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,

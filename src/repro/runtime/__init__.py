@@ -4,7 +4,8 @@ and the parallel grid executor + persistent run cache."""
 from .backends import LocalBackend, SVMBackend
 from .context import Backend, ParallelContext
 from .parallel import (CellSpec, GridExecutor, GridPlan, ResultStore,
-                       canonical, canonical_json, code_fingerprint)
+                       WorkerDied, canonical, canonical_json,
+                       code_fingerprint)
 from .results import RunResult, speedup
 from .runner import run_hwdsm, run_on_backend, run_sequential, run_svm
 
@@ -23,6 +24,7 @@ __all__ = [
     "GridExecutor",
     "GridPlan",
     "ResultStore",
+    "WorkerDied",
     "canonical",
     "canonical_json",
     "code_fingerprint",

@@ -5,12 +5,14 @@ DW+RF -> DW+RF+DD -> GeNIMA`` ladder (x node counts x fault configs) —
 and every cell is an independent, deterministic simulation.  This
 module moves the repeated work off the critical path twice over:
 
-* :class:`GridExecutor` fans cells out across a ``multiprocessing``
-  worker pool (spawn context, so workers share nothing with the parent
-  but the pickled :class:`CellSpec`), and
+* :class:`GridExecutor` fans cells out across a process pool (spawn
+  context, so workers share nothing with the parent but the pickled
+  :class:`CellSpec`), and
 * :class:`ResultStore` persists every evaluated cell under a
   content-addressed key, so a cell whose inputs have not changed is
-  never recomputed — not in this process, not in the next one.
+  never recomputed — not in this process, not in the next one, and
+  not twice by processes racing on one empty store (single flight,
+  see :class:`ResultStore`).
 
 **Keying.**  A cell's digest is the SHA-256 of the canonical JSON of
 its full description: kind, application name, canonicalized
@@ -45,7 +47,9 @@ import hashlib
 import json
 import os
 import shutil
+import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -69,6 +73,7 @@ __all__ = [
     "ResultStore",
     "GridPlan",
     "GridExecutor",
+    "WorkerDied",
 ]
 
 #: store schema version: bump on any breaking change to the payload
@@ -317,9 +322,9 @@ def make_envelope(spec: CellSpec, payload: dict,
                   fingerprint: Optional[str] = None) -> dict:
     """The store envelope for one evaluated cell.
 
-    One shape for every writer — the in-process executor, pool
-    workers' parents, and the serve daemon all persist exactly this,
-    so any of them can read any other's entries.
+    One shape for every writer — the in-process executor and pool
+    workers' parents both persist exactly this, so any process can
+    read any other's entries.
     """
     return {
         "schema": STORE_SCHEMA,
@@ -332,6 +337,24 @@ def make_envelope(spec: CellSpec, payload: dict,
 # ------------------------------------------------------------------ store
 
 
+@lru_cache(maxsize=1)
+def _host() -> str:
+    """This host's name, recorded in every claim this process takes
+    (imported lazily: a warm, all-hits grid never claims)."""
+    import socket
+    return socket.gethostname()
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True  # exists, but owned by another user
+    return True
+
+
 class ResultStore:
     """Persistent content-addressed store of evaluated cells.
 
@@ -341,19 +364,25 @@ class ResultStore:
     explicit ``root`` argument, ``$REPRO_CACHE_DIR``, then
     ``~/.cache/repro``.
 
-    **Concurrent writers.**  The store is content-addressed over a
-    deterministic simulator, so two writers racing on one digest are
-    by construction writing identical bytes — the atomic replace
-    already makes the race harmless.  :meth:`store` still takes a
-    per-digest ``O_CREAT|O_EXCL`` lockfile claim first, so that when a
-    serve daemon and ad-hoc CLI runs share one ``--cache-dir`` only
-    one of them spends the serialization work; the loser just skips
-    the write (the winner's bytes would have been its own).  A claim
-    older than ``lock_stale_s`` is presumed orphaned (killed writer)
-    and broken.
+    **Single flight.**  Processes sharing one store coordinate through
+    it alone, with no daemon: a per-digest lockfile claim, taken
+    without blocking (``O_EXCL`` semantics via a hard link, so the
+    file appears already holding ``"<pid> <host>"``).
+    :meth:`GridExecutor.collect` holds the claim across evaluate +
+    write, so a second process that finds the claim held waits for the
+    holder's envelope instead of recomputing.  A claim is *orphaned*,
+    and may be broken, when its holder is a dead pid on this host or
+    when it is older than ``lock_stale_s``.  A lockfile without a
+    readable holder record cannot be waited on: the executor computes
+    such a cell itself and leaves the entry to the claim's owner.
+
+    :meth:`store` alone takes the claim just around the write; when
+    the claim is held it skips the write (content addressing over a
+    deterministic simulator makes the holder's bytes identical to
+    ours).
     """
 
-    #: a lockfile older than this is an orphan and may be broken.
+    #: a claim older than this is an orphan and may be broken.
     lock_stale_s: float = 300.0
 
     def __init__(self, root: Optional[os.PathLike] = None):
@@ -394,29 +423,68 @@ class ResultStore:
     def lock_path(self, digest: str) -> Path:
         return self.version_dir / digest[:2] / f"{digest}.lock"
 
-    def _claim(self, lock: Path) -> Optional[int]:
-        """Take the per-digest write claim, or return None if another
-        live writer holds it.  A stale claim (older than
-        ``lock_stale_s``) is broken once and re-tried."""
-        for attempt in (0, 1):
-            try:
-                return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if attempt:
-                    return None
+    def holder(self, digest: str) -> Optional[Tuple[int, str]]:
+        """``(pid, host)`` of the process holding ``digest``'s claim, or
+        None when there is no claim or its record is unreadable."""
+        try:
+            fields = self.lock_path(digest).read_text().split()
+        except OSError:
+            return None
+        if len(fields) != 2 or not fields[0].isdigit():
+            return None
+        return int(fields[0]), fields[1]
+
+    def _orphaned(self, digest: str) -> bool:
+        """Whether an existing claim may be broken (see class doc); a
+        claim released meanwhile counts, so the caller just retries."""
+        try:
+            mtime = os.stat(self.lock_path(digest)).st_mtime
+        except OSError:
+            return True
+        age = time.time() - mtime  # repro: noqa[wall-clock] — lockfile staleness is wall-clock by nature
+        if age >= self.lock_stale_s:
+            return True
+        holder = self.holder(digest)
+        return (holder is not None and holder[1] == _host()
+                and holder[0] > 0 and not _pid_alive(holder[0]))
+
+    def claim(self, digest: str) -> bool:
+        """Take ``digest``'s claim without blocking; False when another
+        live holder owns it.  An orphaned claim is broken once and the
+        claim re-tried.  Pair every True with :meth:`release`."""
+        lock = self.lock_path(digest)
+        lock.parent.mkdir(parents=True, exist_ok=True)
+        record = lock.with_name(
+            f"{lock.name}.{os.getpid()}.{threading.get_ident()}")
+        record.write_text(f"{os.getpid()} {_host()}\n")
+        try:
+            for attempt in (0, 1):
                 try:
-                    # Wall time here ages an OS lockfile, not simulated
-                    # state; mtimes are wall-clock by nature.
-                    age = time.time() - os.stat(lock).st_mtime  # repro: noqa[wall-clock] — lockfile staleness is wall-clock by nature
-                except OSError:
-                    continue  # holder just released it: retry the claim
-                if age < self.lock_stale_s:
-                    return None
-                try:
-                    os.unlink(lock)  # break the orphaned claim
-                except OSError:
-                    pass
-        return None
+                    os.link(record, lock)
+                    return True
+                except FileExistsError:
+                    if attempt or not self._orphaned(digest):
+                        return False
+                    try:
+                        os.unlink(lock)  # break the orphaned claim
+                    except OSError:
+                        pass
+            return False
+        finally:
+            os.unlink(record)
+
+    def release(self, digest: str) -> None:
+        try:
+            os.unlink(self.lock_path(digest))
+        except OSError:
+            pass
+
+    def _write(self, digest: str, envelope: dict) -> None:
+        """Atomically persist ``envelope``; the caller holds the claim."""
+        path = self.path_for(digest)
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        tmp.write_text(json.dumps(envelope, sort_keys=True) + "\n")
+        os.replace(tmp, path)
 
     def store(self, digest: str, envelope: dict) -> bool:
         """Atomically persist ``envelope`` under ``digest``.
@@ -427,23 +495,13 @@ class ResultStore:
         makes their bytes identical to ours, so skipping is safe and
         cheaper than queueing).
         """
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lock = self.lock_path(digest)
-        fd = self._claim(lock)
-        if fd is None:
+        if not self.claim(digest):
             return False
         try:
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            tmp.write_text(json.dumps(envelope, sort_keys=True) + "\n")
-            os.replace(tmp, path)
+            self._write(digest, envelope)
             return True
         finally:
-            os.close(fd)
-            try:
-                os.unlink(lock)
-            except OSError:
-                pass
+            self.release(digest)
 
     def entries(self) -> Iterator[Tuple[str, dict]]:
         """Iterate ``(digest, envelope)`` over all readable entries,
@@ -468,6 +526,26 @@ class ResultStore:
 # --------------------------------------------------------------- executor
 
 
+#: seconds between store reads while another process holds a claim.
+_POLL_S = 0.05
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker process died (killed, out of memory, crashed
+    interpreter) while grid cells were in flight.  ``cells`` lists the
+    specs whose results were lost; their claims have been released, so
+    a later run on the same store recomputes exactly those."""
+
+    def __init__(self, cells: List[CellSpec]):
+        self.cells = list(cells)
+        names = ", ".join(
+            f"{spec.kind}:{spec.app}"
+            + (f"/{spec.features.name}" if spec.features else "")
+            for spec in self.cells)
+        super().__init__(f"a grid worker process died; {len(self.cells)} "
+                         f"cell(s) lost: {names}")
+
+
 @dataclass
 class GridPlan:
     """The submit half of a grid evaluation: deduplicated digests with
@@ -475,9 +553,7 @@ class GridPlan:
 
     Produced by :meth:`GridExecutor.submit`; consumed (exactly once)
     by :meth:`GridExecutor.collect`.  Splitting the two lets a caller
-    that owns its own evaluation loop — the serve daemon's
-    single-flight scheduler — reuse the planning/lookup/persist logic
-    while scheduling the misses itself.
+    time or schedule the lookup and the evaluation separately.
     """
 
     fingerprint: str
@@ -497,11 +573,10 @@ class GridExecutor:
     ``map`` is the main API: specs in, ``{digest: live object}`` out.
     It is the composition of two halves — :meth:`submit` (dedup by
     digest + store lookup, no evaluation) and :meth:`collect`
-    (evaluate the misses, persist, decode) — exposed separately so
-    long-lived callers can interleave their own scheduling between
-    them.  All of it is order-independent: the result dict is keyed
-    by content digest, and every value passes through the same JSON
-    round trip regardless of where it was computed.
+    (evaluate the misses, persist, decode).  All of it is
+    order-independent: the result dict is keyed by content digest, and
+    every value passes through the same JSON round trip regardless of
+    where it was computed.
 
     ``jobs`` is clamped to the host's CPU count unless ``jobs_force``
     is set: on an oversubscribed box the extra spawn workers only add
@@ -541,39 +616,117 @@ class GridExecutor:
         hits: Dict[str, object] = {}
         misses: List[str] = []
         for digest in order:
-            envelope = (self.store.load(digest)
-                        if self.store is not None else None)
-            if envelope is not None:
-                try:
-                    hits[digest] = decode_payload(envelope["payload"])
-                    continue
-                except (KeyError, TypeError, ValueError):
-                    pass  # corrupted entry: fall through to recompute
-            misses.append(digest)
+            if not self._reuse(digest, hits):
+                misses.append(digest)
         return GridPlan(fingerprint=fingerprint, order=order,
                         specs=by_digest, hits=hits, misses=misses)
 
     def collect(self, plan: GridPlan) -> Dict[str, object]:
         """Evaluate ``plan``'s misses, persist them, return the full
-        ``{digest: live object}`` map (hits included)."""
+        ``{digest: live object}`` map (hits included).
+
+        With a store, each miss is claimed before it is evaluated and
+        the claim is held until its envelope is written.  A miss whose
+        claim another live process holds is deferred; once the
+        claimable misses are done, the deferred ones are polled until
+        the holder's envelope appears or the claim can be taken over
+        (holder released it without writing, or it is orphaned).
+        Claims are never held while waiting, so processes cannot
+        deadlock on each other.
+        """
         out = dict(plan.hits)
-        if plan.misses:
-            payloads = self._evaluate([plan.specs[d] for d in plan.misses])
-            for digest, payload in zip(plan.misses, payloads):
-                if self.store is not None:
-                    self.store.store(digest, make_envelope(
-                        plan.specs[digest], payload, plan.fingerprint))
-                out[digest] = decode_payload(payload)
+        pending = plan.misses
+        while pending:
+            pending = self._compute(plan, pending, out)
+            if pending:
+                time.sleep(_POLL_S)
         return out
 
-    def _evaluate(self, specs: List[CellSpec]) -> List[dict]:
-        """Payloads for ``specs``, in input order."""
+    def _reuse(self, digest: str, out: Dict[str, object]) -> bool:
+        """Decode ``digest``'s stored envelope into ``out``; False on a
+        miss or a corrupted entry."""
+        envelope = (self.store.load(digest)
+                    if self.store is not None else None)
+        if envelope is None:
+            return False
+        try:
+            out[digest] = decode_payload(envelope["payload"])
+        except (KeyError, TypeError, ValueError):
+            return False
+        return True
+
+    def _compute(self, plan: GridPlan, digests: List[str],
+                 out: Dict[str, object]) -> List[str]:
+        """One pass over ``digests``: evaluate every cell this process
+        may compute into ``out`` and return the ones another live
+        process holds.  Serially each cell is claimed just before it
+        is evaluated, so concurrent processes split the grid; a pool
+        claims its whole batch up front."""
+        store = self.store
+        held: List[str] = []
+        step = len(digests) if self.jobs > 1 else 1
+        for start in range(0, len(digests), step):
+            claimed: List[str] = []
+            todo: List[str] = []
+            try:
+                for digest in digests[start:start + step]:
+                    if store is None:
+                        todo.append(digest)
+                    elif store.claim(digest):
+                        if self._reuse(digest, out):
+                            store.release(digest)  # finished meanwhile
+                        else:
+                            claimed.append(digest)
+                            todo.append(digest)
+                    else:
+                        # Holder first: one that writes and releases
+                        # between these two reads is still seen below.
+                        holder = store.holder(digest)
+                        if self._reuse(digest, out):
+                            pass
+                        elif holder is None:
+                            todo.append(digest)  # nobody to wait for
+                        else:
+                            held.append(digest)
+                with closing(self._evaluate(
+                        [plan.specs[d] for d in todo])) as payloads:
+                    for digest, payload in zip(todo, payloads):
+                        if store is not None:
+                            envelope = make_envelope(
+                                plan.specs[digest], payload,
+                                plan.fingerprint)
+                            if digest in claimed:
+                                store._write(digest, envelope)
+                            else:
+                                store.store(digest, envelope)
+                        out[digest] = decode_payload(payload)
+            finally:
+                for digest in claimed:
+                    store.release(digest)
+        return held
+
+    def _evaluate(self, specs: List[CellSpec]) -> Iterator[dict]:
+        """Payloads for ``specs``, yielded in input order as each is
+        ready, so the caller persists finished cells even if a later
+        one fails.  Raises :class:`WorkerDied` (naming the cells not
+        yet yielded) if a pool worker process dies."""
         if self.jobs <= 1 or len(specs) <= 1:
-            return [evaluate_cell(spec) for spec in specs]
+            for spec in specs:
+                yield evaluate_cell(spec)
+            return
         import multiprocessing
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=min(self.jobs, len(specs))) as pool:
-            # pool.map preserves input order, so the zip in collect()
-            # pairs digests with their own payloads no matter which
-            # worker finished first.
-            return pool.map(evaluate_cell, specs, chunksize=1)
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(specs)),
+            mp_context=multiprocessing.get_context("spawn"))
+        try:
+            futures = [pool.submit(evaluate_cell, spec) for spec in specs]
+            for index, future in enumerate(futures):
+                try:
+                    payload = future.result()
+                except BrokenProcessPool as exc:
+                    raise WorkerDied(specs[index:]) from exc
+                yield payload
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)

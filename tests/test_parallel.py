@@ -3,10 +3,18 @@
 Covers the determinism contract (jobs=1 == jobs=N == cache hit),
 content-addressed keying (including the dict/list-valued-params
 regression the old ``tuple(sorted(params.items()))`` keying broke on),
-fingerprint invalidation and corrupted-entry recovery.
+fingerprint invalidation, corrupted-entry recovery, single flight
+across real processes sharing one store, and pool worker death.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -14,10 +22,11 @@ from repro.experiments import ExperimentCache
 from repro.hw import FaultConfig, MachineConfig
 from repro.runtime import parallel
 from repro.runtime.parallel import (CellSpec, GridExecutor, ResultStore,
-                                    STORE_SCHEMA, canonical, canonical_json,
-                                    decode_payload, decode_result,
-                                    encode_result, evaluate_cell)
-from repro.svm import BASE, GENIMA
+                                    STORE_SCHEMA, WorkerDied, canonical,
+                                    canonical_json, decode_payload,
+                                    decode_result, encode_result,
+                                    evaluate_cell)
+from repro.svm import BASE, GENIMA, PROTOCOL_LADDER
 
 APP = "Water-spatial"
 
@@ -335,3 +344,229 @@ def test_caches_share_store_across_instances(tmp_path):
     second = ExperimentCache(store=store).svm(APP, GENIMA)
     assert first is not second
     assert encode_result(first) == encode_result(second)
+
+
+# ------------------------------------------------------ store single flight
+
+def _run_bounded(fn, seconds):
+    """Run ``fn`` on a daemon thread; fail (instead of hanging the
+    suite) if it has not returned within ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _fake_payload(base, spec):
+    """A cheap, cell-specific stand-in for evaluate_cell's payload."""
+    return {"kind": "svm",
+            "result": {**base["result"], "stats": {"cell": spec.params}}}
+
+
+def _encoded(results):
+    return {digest: canonical_json(encode_result(value))
+            for digest, value in results.items()}
+
+
+def _exactly_once_client(root, specs, barrier, out_path):
+    barrier.wait(30)
+    results = GridExecutor(jobs=1, store=ResultStore(root)).map(specs)
+    out_path.write_text(json.dumps(_encoded(results), sort_keys=True))
+
+
+def test_single_flight_exactly_once_across_processes(tmp_path, monkeypatch,
+                                                     svm_payload):
+    """Four processes racing on one empty store evaluate every unique
+    cell exactly once between them, and all decode identical bytes."""
+    ctx = multiprocessing.get_context("fork")
+    calls = ctx.Value("i", 0)
+
+    def slow_evaluate(spec):
+        time.sleep(0.2)
+        with calls.get_lock():
+            calls.value += 1
+        return _fake_payload(svm_payload, spec)
+
+    monkeypatch.setattr(parallel, "evaluate_cell", slow_evaluate)
+    specs = [svm_spec(cell=i) for i in range(6)]
+    specs += specs[:2]  # duplicates collapse to the same digests
+    barrier = ctx.Barrier(4)
+    procs = [ctx.Process(target=_exactly_once_client,
+                         args=(tmp_path / "store", specs, barrier,
+                               tmp_path / f"out{i}.json"))
+             for i in range(4)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(60)
+    assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
+    unique = {spec.digest() for spec in specs}
+    assert calls.value == len(unique) == 6
+    outs = [(tmp_path / f"out{i}.json").read_text() for i in range(4)]
+    assert len(set(outs)) == 1
+    assert set(json.loads(outs[0])) == unique
+    store = ResultStore(tmp_path / "store")
+    assert len(store) == 6
+    assert not list(store.version_dir.glob("*/*.lock"))
+
+
+def _raising_holder(root, spec, claimed, go, raised, leave):
+    def fail(_spec):
+        claimed.set()
+        go.wait(30)
+        raise RuntimeError("holder failed")
+
+    parallel.evaluate_cell = fail  # this forked child only
+    try:
+        GridExecutor(jobs=1, store=ResultStore(root)).map([spec])
+    except RuntimeError:
+        raised.set()
+    leave.wait(30)  # stay alive: only the release may free the claim
+
+
+def test_waiter_computes_after_holder_raises(tmp_path, monkeypatch,
+                                             svm_payload):
+    """A holder that raises releases its claim; the process that was
+    waiting on it takes the claim over and computes the cell itself."""
+    ctx = multiprocessing.get_context("fork")
+    claimed, go, raised, leave = (ctx.Event() for _ in range(4))
+    spec = svm_spec(cell="raises")
+    holder = ctx.Process(target=_raising_holder,
+                         args=(tmp_path, spec, claimed, go, raised, leave))
+    holder.start()
+    try:
+        assert claimed.wait(30)
+        store = ResultStore(tmp_path)
+        assert store.holder(spec.digest())[0] == holder.pid
+        seen = []
+
+        def evaluate(cell):
+            seen.append(raised.is_set())
+            return _fake_payload(svm_payload, cell)
+
+        monkeypatch.setattr(parallel, "evaluate_cell", evaluate)
+        threading.Timer(0.3, go.set).start()
+        out = _run_bounded(
+            lambda: GridExecutor(jobs=1, store=store).map([spec]), 20)
+        assert seen == [True]  # waited for the holder, then computed once
+        assert holder.is_alive()  # freed by release, not by pid death
+        assert encode_result(out[spec.digest()])["stats"] == {
+            "cell": {"cell": "raises"}}
+        assert store.load(spec.digest()) is not None
+        assert not store.lock_path(spec.digest()).exists()
+    finally:
+        go.set()
+        leave.set()
+        holder.join(30)
+    assert holder.exitcode == 0
+
+
+def _dead_pid():
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
+
+
+def test_dead_holder_claim_broken_promptly(tmp_path, monkeypatch,
+                                           svm_payload):
+    """A fresh claim left by a dead pid on this host is an orphan: the
+    grid breaks it at once instead of waiting out lock_stale_s."""
+    store = ResultStore(tmp_path)
+    spec = svm_spec(cell="orphan")
+    digest = spec.digest()
+    lock = store.lock_path(digest)
+    lock.parent.mkdir(parents=True)
+    lock.write_text(f"{_dead_pid()} {parallel._host()}\n")
+    calls = []
+
+    def evaluate(cell):
+        calls.append(cell)
+        return _fake_payload(svm_payload, cell)
+
+    monkeypatch.setattr(parallel, "evaluate_cell", evaluate)
+    bound = store.lock_stale_s / 15  # 20 s: staleness could not break it
+    _run_bounded(lambda: GridExecutor(jobs=1, store=store).map([spec]),
+                 bound)
+    assert len(calls) == 1
+    assert store.load(digest) is not None
+    assert not lock.exists()
+
+
+def test_claim_from_another_host_not_broken_by_pid(tmp_path):
+    """Pid liveness is only checked for claims taken on this host."""
+    store = ResultStore(tmp_path)
+    digest = "ef" * 32
+    lock = store.lock_path(digest)
+    lock.parent.mkdir(parents=True)
+    lock.write_text(f"{_dead_pid()} {parallel._host()}-elsewhere\n")
+    assert store.store(digest, {"schema": STORE_SCHEMA,
+                                "payload": {}}) is False
+    assert lock.exists()
+
+
+# ------------------------------------------------------------ worker death
+
+def test_killed_pool_worker_raises_typed_error(tmp_path):
+    """SIGKILLing a spawn worker mid-grid yields WorkerDied naming the
+    lost cells within a bound (not a hang), releases their claims, and
+    a following map on the same store completes the grid."""
+    store = ResultStore(tmp_path)
+    specs = [CellSpec(kind="svm", app=app, features=feats,
+                      config=MachineConfig())
+             for app in ("Barnes-spatial", "Water-spatial")
+             for feats in PROTOCOL_LADDER]
+    killed = {}
+
+    def kill_one_worker():
+        deadline = time.monotonic() + 60  # repro: noqa[wall-clock] — host-time watchdog
+        while time.monotonic() < deadline:  # repro: noqa[wall-clock] — host-time watchdog
+            workers = multiprocessing.active_children()
+            if workers and len(store):
+                os.kill(workers[0].pid, signal.SIGKILL)
+                killed["at"] = time.monotonic()  # repro: noqa[wall-clock] — host-time watchdog
+                return
+            time.sleep(0.02)
+
+    killer = threading.Thread(target=kill_one_worker, daemon=True)
+    killer.start()
+    with pytest.raises(WorkerDied) as info:
+        _run_bounded(lambda: GridExecutor(jobs=2, jobs_force=True,
+                                          store=store).map(specs), 90)
+    assert time.monotonic() - killed["at"] < 30  # repro: noqa[wall-clock] — host-time watchdog
+    lost = info.value.cells
+    assert lost
+    assert {s.digest() for s in lost} <= {s.digest() for s in specs}
+    assert f"{lost[0].app}/{lost[0].features.name}" in str(info.value)
+    assert not list(store.version_dir.glob("*/*.lock"))
+    done = len(store)
+    assert 0 < done < len(specs)
+
+    out = _run_bounded(lambda: GridExecutor(jobs=2, jobs_force=True,
+                                            store=store).map(specs), 90)
+    assert set(out) == {spec.digest() for spec in specs}
+    assert len(store) == len(specs)
+
+
+def test_failing_cell_releases_claims_keeps_finished(tmp_path):
+    """A cell that raises fails the map, but the cells finished before
+    it stay persisted and no claim is left behind."""
+    store = ResultStore(tmp_path)
+    good = svm_spec(features=BASE)
+    bad = CellSpec(kind="svm", app="NoSuchApp", config=MachineConfig())
+    with pytest.raises(KeyError):
+        GridExecutor(jobs=1, store=store).map([good, bad])
+    assert store.load(good.digest()) is not None
+    assert not list(store.version_dir.glob("*/*.lock"))
+    plan = GridExecutor(jobs=1, store=store).submit([good])
+    assert set(plan.hits) == {good.digest()}
