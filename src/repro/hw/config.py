@@ -23,6 +23,13 @@ from typing import Optional, Tuple
 __all__ = ["FaultConfig", "MachineConfig", "PAPER_16P", "PAPER_32P"]
 
 
+def float_fields(config) -> None:
+    """Store ints given to ``float`` fields as floats (bare delays)."""
+    for f in fields(config):
+        if f.type == "float" and type(getattr(config, f.name)) is int:
+            object.__setattr__(config, f.name, float(getattr(config, f.name)))
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Deterministic fault model for the network fabric.
@@ -201,6 +208,7 @@ class MachineConfig:
                 f"{', '.join(sorted(TOPOLOGIES))})")
         if self.hop_latency_us < 0:
             raise ValueError("hop_latency_us must be >= 0")
+        float_fields(self)
 
     # -- derived -------------------------------------------------------------
     @property

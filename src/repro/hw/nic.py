@@ -104,19 +104,21 @@ class NIC:
         host CPU time before calling.
         """
         ev = self.post_queue.put(message)
-        ev.add_callback(lambda _e: setattr(message, "_t_post", self.sim.now))
+        message.t_post = self.sim._now
+        if not ev._triggered:  # queue full: accepted later
+            ev.add_callback(lambda _: setattr(message, "t_post", self.sim.now))
         return ev
 
     def _segment_sizes(self, message: Message):
-        sizes = []
-        remaining = max(message.size, 1)
-        while remaining > 0:
-            take = min(remaining, self.config.packet_max)
-            sizes.append(take)
-            remaining -= take
-        return sizes
+        size, pmax = max(message.size, 1), self.config.packet_max
+        return [min(pmax, size - off) for off in range(0, size, pmax)]
 
     def _segment(self, message: Message, fw_origin: bool = False):
+        if message.size <= self.config.packet_max:
+            # One-packet fast path: most messages are control-sized.
+            message.packets_remaining = 1
+            return [Packet(message, max(message.size, 1), 0, True,
+                           fw_origin)]
         sizes = self._segment_sizes(message)
         message.packets_remaining = len(sizes)
         return [
@@ -135,7 +137,9 @@ class NIC:
         cfg = self.config
         while True:
             message = yield self.post_queue.get()
-            t_enq = getattr(message, "_t_post", self.sim.now)
+            t_enq = message.t_post
+            if t_enq is None:
+                t_enq = self.sim.now
             if message.multicast_dsts:
                 dsts = message.multicast_dsts
                 sizes = self._segment_sizes(message)

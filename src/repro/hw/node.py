@@ -93,9 +93,9 @@ class Node:
         yield self.protocol_proc.request()
         try:
             if entry_delay:
-                yield self.sim.timeout(self.interrupt_entry_delay())
+                yield self.interrupt_entry_delay()
             else:
-                yield self.sim.timeout(self.config.handler_dispatch_us)
+                yield self.config.handler_dispatch_us
             yield from gen
         finally:
             self.protocol_proc.release()
@@ -110,6 +110,6 @@ class Node:
         """
         def body():
             if service_us > 0:
-                yield self.sim.timeout(service_us)
+                yield service_us
 
         yield from self.handler(body(), entry_delay=entry_delay)

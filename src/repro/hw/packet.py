@@ -10,6 +10,7 @@ contention ratios of Tables 3 and 4.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -20,8 +21,11 @@ SMALL_MESSAGE_BYTES = 256
 
 _seq = itertools.count()
 
+#: Slotted (3.10+): one of each is built per message/packet.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass
+
+@dataclass(**_SLOTS)
 class Message:
     """One logical communication-layer operation.
 
@@ -69,6 +73,8 @@ class Message:
     span_flow: Optional[int] = None
     msg_id: int = field(default_factory=lambda: next(_seq))
     packets_remaining: int = 0
+    #: when the sending NI's post queue accepted it (``NIC.post``).
+    t_post: Optional[float] = None
 
     def __post_init__(self):
         if self.size < 0:
@@ -85,7 +91,7 @@ class Message:
             raise ValueError(f"loopback not supported for kind={self.kind!r}")
 
 
-@dataclass
+@dataclass(**_SLOTS)
 class Packet:
     """One wire packet (<= packet_max bytes) of a message."""
 
@@ -96,7 +102,6 @@ class Packet:
     fw_origin: bool = False  # injected by NI firmware (skips post queue)
     #: destination override for multicast copies (None = message.dst).
     dst_node: Optional[int] = None
-    pkt_id: int = field(default_factory=lambda: next(_seq))
 
     # -- stage timestamps, filled in as the packet moves ------------------
     t_enqueue: float = 0.0      # request visible in NI request queue

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
+from ..hw.config import float_fields
 from ..sim import Resource, Simulator
 from ..runtime.context import Backend
 
@@ -42,6 +43,9 @@ class HWDSMConfig:
     #: Origin has two processors per node and much more bandwidth).
     bus_contention_factor: float = 0.008
     procs_per_node: int = 2
+
+    def __post_init__(self):
+        float_fields(self)
 
     @property
     def lines_per_page(self) -> int:
@@ -105,7 +109,7 @@ class HWDSMBackend(Backend):
         def gen():
             extra = cfg.bus_contention_factor * bus_intensity \
                 * (cfg.procs_per_node - 1)
-            yield self.sim.timeout(us * (1.0 + extra))
+            yield us * (1.0 + extra)
 
         return gen()
 
@@ -131,7 +135,7 @@ class HWDSMBackend(Backend):
 
         def gen():
             if cost > 0:
-                yield self.sim.timeout(cost)
+                yield cost
 
         return gen()
 
@@ -145,7 +149,7 @@ class HWDSMBackend(Backend):
 
         def gen():
             if cost > 0:
-                yield self.sim.timeout(cost)
+                yield cost
 
         return gen()
 
@@ -163,7 +167,7 @@ class HWDSMBackend(Backend):
         self.lock_ops += 1
 
         def gen():
-            yield self.sim.timeout(self.config.lock_op_us)
+            yield self.config.lock_op_us
             yield res.request()
 
         return gen()
@@ -172,7 +176,7 @@ class HWDSMBackend(Backend):
         res = self._lock_res(lock_id)
 
         def gen():
-            yield self.sim.timeout(self.config.lock_op_us)
+            yield self.config.lock_op_us
             res.release()
 
         return gen()
@@ -190,7 +194,7 @@ class HWDSMBackend(Backend):
         flag = self._flag(flag_id)
 
         def gen():
-            yield self.sim.timeout(self.config.lock_op_us)
+            yield self.config.lock_op_us
             flag["version"] += 1
             version = flag["version"]
             still = []
@@ -213,7 +217,7 @@ class HWDSMBackend(Backend):
                 flag["waiters"].append((want, ev))
                 yield ev
             flag["consumed"][rank] = want
-            yield self.sim.timeout(self.config.lock_op_us)
+            yield self.config.lock_op_us
 
         return gen()
 
@@ -221,7 +225,7 @@ class HWDSMBackend(Backend):
 
     def op_barrier(self, rank):
         def gen():
-            yield self.sim.timeout(self.config.barrier_op_us)
+            yield self.config.barrier_op_us
             self._barrier_count += 1
             if self._barrier_count == self.config.nprocs:
                 self._barrier_count = 0

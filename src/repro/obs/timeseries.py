@@ -381,12 +381,6 @@ class TimeSeriesSampler:
             out.merge(track.hist)
         return out
 
-    def merged_stat(self, metric: str) -> RunningStat:
-        out = RunningStat()
-        for track in self._series[metric].tracks.values():
-            out = out.merge(track.stat)
-        return out
-
     def series(self, metric: str
                ) -> Tuple[List[float], List[float], List[float],
                           List[int]]:

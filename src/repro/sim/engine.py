@@ -2,9 +2,12 @@
 
 A tiny, deterministic, generator-based discrete-event engine in the
 style of SimPy, sized for this project.  Simulated *processes* are
-Python generators that ``yield`` :class:`Event` objects; the kernel
-resumes a process when the event it is waiting on fires, passing the
-event's value back through ``send``.
+Python generators that ``yield`` an :class:`Event` (resumed with its
+value when it fires) or a ``float`` delay (resumed with ``None`` that
+much later: the schedule of ``yield sim.timeout(delay)``, with the
+process's resume callback as the calendar entry instead of a
+:class:`Timeout`).  A negative delay raises ``ValueError`` in the
+process; any other value, an ``int`` too, is a :class:`SimulationError`.
 
 Time is a ``float``; this project uses microseconds throughout.
 
@@ -35,7 +38,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, List, Optional
+from types import MethodType
+from typing import Any, Callable, Generator, List, Optional, Union
 
 __all__ = [
     "Event",
@@ -140,9 +144,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        # Flattened Event.__init__ + calendar insert: one Timeout per
-        # station hold makes this constructor a hot-path allocation, so
-        # it pays to skip the super() call and every helper call.
+        # Flattened Event.__init__ + calendar insert: Simulator.schedule
+        # builds one Timeout per network packet delivery.
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self.sim = sim
@@ -166,10 +169,11 @@ class Timeout(Event):
 class Process(Event):
     """A running simulated process; also an event that fires on return.
 
-    The wrapped generator yields :class:`Event` instances.  When the
-    generator returns, the process event succeeds with the generator's
-    return value; an uncaught exception fails the process event (and
-    propagates at :meth:`Simulator.run` time if nobody waits on it).
+    The wrapped generator yields :class:`Event` instances or ``float``
+    delays (see the module docstring).  When the generator returns, the
+    process event succeeds with the generator's return value; an
+    uncaught exception fails the process event (and propagates at
+    :meth:`Simulator.run` time if nobody waits on it).
     """
 
     __slots__ = ("_gen", "_send", "_throw", "_resume_cb", "_waiting_on",
@@ -182,7 +186,8 @@ class Process(Event):
         self._send = gen.send
         self._throw = gen.throw
         self._resume_cb = self._resume
-        self._waiting_on: Optional[Event] = None
+        #: the pending Event, a bare-delay wake time, or None.
+        self._waiting_on: Union[Event, float, None] = None
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current instant.
         boot = Event(sim)
@@ -198,7 +203,14 @@ class Process(Event):
         if self._triggered:
             raise SimulationError("cannot interrupt a finished process")
         target = self._waiting_on
-        if target is not None:
+        if target.__class__ is float:
+            # Asleep on a bare delay: an inert event takes the wake's
+            # calendar slot, so the dispatch count and order match a
+            # Timeout whose callback was detached.
+            sim = self.sim
+            lane = sim._fifo if target <= sim._now else sim._pages[target]
+            lane[lane.index(self._resume_cb)] = Event(sim)
+        elif target is not None:
             # Detach: the interrupted wait no longer resumes us.
             try:
                 target._callbacks.remove(self._resume_cb)
@@ -230,9 +242,31 @@ class Process(Event):
                 self.sim._note_crash(self, err)
                 return
             if not isinstance(target, Event):
+                if target.__class__ is float:
+                    # Bare delay: the calendar slot Timeout.__init__
+                    # would take, holding this process's resume callback.
+                    if target < 0:
+                        ev = Event(self.sim)
+                        ev._exc = ValueError(f"negative delay {target!r}")
+                        continue
+                    sim = self.sim
+                    now = sim._now
+                    when = now + target
+                    self._waiting_on = when
+                    if when <= now:
+                        sim._fifo.append(self._resume_cb)
+                        return
+                    page = sim._pages.get(when)
+                    if page is None:
+                        sim._pages[when] = [self._resume_cb]
+                        heapq.heappush(sim._times, when)
+                    else:
+                        page.append(self._resume_cb)
+                    return
                 self._gen.close()
                 err = SimulationError(
-                    f"process {self.name!r} yielded {target!r}, not an Event"
+                    f"process {self.name!r} yielded {target!r}, not an Event "
+                    "or a float delay"
                 )
                 self.fail(err)
                 self.sim._note_crash(self, err)
@@ -244,6 +278,10 @@ class Process(Event):
             self._waiting_on = target
             callbacks.append(self._resume_cb)
             return
+
+
+#: What a bare-delay sleeper is resumed with: value None, no error.
+_WOKE = Event(None)  # type: ignore[arg-type]
 
 
 def _detach(events, cbs) -> None:
@@ -280,9 +318,10 @@ class Simulator:
     ``_fifo`` holds events due at the current instant in scheduling
     order, ``_pages`` maps each distinct future timestamp to its
     append-ordered event list, and ``_times`` is the min-heap fallback
-    holding one entry per pending page.  ``events_dispatched`` counts
-    every dispatched event; the ns/event figures in BENCH_grid.json
-    divide wall time by it.
+    holding one entry per pending page; a bare-delay entry is the
+    sleeper's bound resume callback.  ``events_dispatched`` counts every
+    dispatched event; the ns/event figures in BENCH_grid.json divide
+    wall time by it.
     """
 
     def __init__(self):
@@ -429,6 +468,8 @@ class Simulator:
         times = self._times
         heappop = heapq.heappop
         consumed = _CONSUMED
+        wake = MethodType
+        woke = _WOKE
         hooks = self._slice_hooks
         crashed = self._crashed
         dispatched = 0
@@ -462,10 +503,14 @@ class Simulator:
                         fifo.extend(page)
                         ev = fifo.popleft()
                 dispatched += 1
-                callbacks = ev._callbacks
-                ev._callbacks = consumed
-                for fn in callbacks:
-                    fn(ev)
+                if ev.__class__ is wake:
+                    # A bare-delay entry: a sleeping process's resume.
+                    ev(woke)
+                else:
+                    callbacks = ev._callbacks
+                    ev._callbacks = consumed
+                    for fn in callbacks:
+                        fn(ev)
                 if crashed:
                     _proc, err = crashed[0]
                     raise err

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Event, Simulator, SimulationError, Timeout
+from .engine import Event, Simulator, SimulationError
 
 __all__ = ["Resource", "Store", "RateServer"]
 
@@ -29,7 +29,7 @@ class Resource:
 
         grant = yield resource.request()
         try:
-            yield sim.timeout(service_time)
+            yield service_time
         finally:
             resource.release()
     """
@@ -82,11 +82,19 @@ class Resource:
 
     def use(self, duration: float):
         """Generator helper: acquire, hold for ``duration``, release."""
-        yield self.request()
+        req = self.request()
         try:
-            yield Timeout(self.sim, duration)
+            yield req
+            yield duration
         finally:
+            self._done(req)
+
+    def _done(self, req: Event) -> None:
+        """Release a granted request; withdraw one still queued."""
+        if req._triggered:
             self.release()
+        else:
+            self._waiters.remove(req)
 
     def _accrue(self) -> None:
         now = self.sim._now
@@ -201,12 +209,12 @@ class RateServer:
         """Generator: queue for the station and move ``size_bytes``."""
         self.total_bytes += size_bytes
         res = self._res
-        yield res.request()
+        req = res.request()
         try:
-            yield Timeout(self.sim,
-                          self.overhead + size_bytes / self.bandwidth)
+            yield req
+            yield self.overhead + size_bytes / self.bandwidth
         finally:
-            res.release()
+            res._done(req)
 
     @property
     def queue_len(self) -> int:

@@ -207,7 +207,7 @@ class BarrierManager:
             sid = sp.begin("barrier.arrive", mtrack, bucket="barrier",
                            link=link, node=node_id) \
                 if sp is not None else None
-            yield self.sim.timeout(self.config.protocol_op_us)
+            yield self.config.protocol_op_us
             if sp is not None:
                 fid = sp.flow(mtrack, "barrier_arrive", "barrier",
                               node=node_id)
@@ -283,7 +283,7 @@ class BarrierManager:
                 sid = sp.begin("barrier.release", mtrack,
                                bucket="barrier", link=fidh,
                                epoch=index) if sp is not None else None
-                yield self.sim.timeout(cfg.protocol_op_us)
+                yield cfg.protocol_op_us
                 for node_id in range(cfg.nodes):
                     if node_id == self.master:
                         continue

@@ -117,7 +117,7 @@ class InterruptLockManager:
             tok.holder = rank
             self._trace("svmlock.granted", node=node_id, lock=lock_id,
                         rank=rank)
-            yield self.sim.timeout(cfg.protocol_op_us)
+            yield cfg.protocol_op_us
             return None
         ev = self.sim.event()
         self._host_waiters.setdefault((node_id, lock_id),
@@ -144,7 +144,7 @@ class InterruptLockManager:
                 node_id, home, LOCK_REQ_BYTES, kind="lock_req",
                 on_delivered=at_home)
         ts = yield ev
-        yield self.sim.timeout(cfg.notify_us)
+        yield cfg.notify_us
         return ts
 
     def release(self, rank: int, lock_id: int):
@@ -159,7 +159,7 @@ class InterruptLockManager:
         tok.holder = None
         self._trace("svmlock.release", node=node_id, lock=lock_id,
                     rank=rank, queue=tuple(tok.pending))
-        yield self.sim.timeout(self.config.protocol_op_us)
+        yield self.config.protocol_op_us
         if tok.pending and not tok.busy:
             tok.busy = True
             sp = self.proto.spans
@@ -183,7 +183,7 @@ class InterruptLockManager:
             sid = sp.begin("lock.home", htrack, bucket="lock",
                            link=link, lock=lock_id) \
                 if sp is not None else None
-            yield self.sim.timeout(self.config.protocol_op_us)
+            yield self.config.protocol_op_us
             prev = self._tail[lock_id]
             self._tail[lock_id] = req_node
             if prev == home:
@@ -218,7 +218,7 @@ class InterruptLockManager:
             sid = sp.begin("lock.owner", node_track(owner_node),
                            bucket="lock", link=link, lock=lock_id) \
                 if sp is not None else None
-            yield self.sim.timeout(self.config.protocol_op_us)
+            yield self.config.protocol_op_us
             yield from self._owner_logic(owner_node, lock_id, req_node)
             if sp is not None:
                 sp.end(sid)
@@ -289,7 +289,7 @@ class InterruptLockManager:
         otrack = node_track(owner_node)
         if req_node == owner_node:
             self.local_grants += 1
-            yield self.sim.timeout(self.config.protocol_op_us)
+            yield self.config.protocol_op_us
             fid = sp.flow(otrack, "lock_grant", "lock", lock=lock_id) \
                 if sp is not None else None
             self._grant_arrived(req_node, lock_id, None, fid=fid)

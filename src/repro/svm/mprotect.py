@@ -44,25 +44,35 @@ class MprotectModel:
 
     def cost_us(self, pages: Iterable[int]) -> float:
         """Cost of protecting ``pages``, with coalescing (no accounting)."""
-        return self._cost(coalesce_pages(pages))
-
-    def protect(self, node: int, pages: Iterable[int]) -> float:
-        """Account one protection change on ``node``; returns its cost."""
         runs = coalesce_pages(pages)
-        cost = self._cost(runs)
-        if cost > 0:
-            self.total_us[node] += cost
-            self.calls[node] += len(runs)
-            self.pages_protected[node] += sum(c for _f, c in runs)
-        return cost
-
-    def _cost(self, runs: List[Tuple[int, int]]) -> float:
         if not runs:
             return 0.0
         cfg = self.config
         n_pages = sum(count for _first, count in runs)
         return (len(runs) * cfg.mprotect_call_us
                 + (n_pages - len(runs)) * cfg.mprotect_page_us)
+
+    def protect(self, node: int, pages: Iterable[int]) -> float:
+        """Account one protection change on ``node``; returns its cost
+        (:meth:`cost_us`, counted in one pass over the sorted ids)."""
+        uniq = sorted(set(pages))
+        runs = 0
+        prev = None
+        for page in uniq:
+            if page - 1 != prev:
+                runs += 1
+            prev = page
+        if not runs:
+            return 0.0
+        n_pages = len(uniq)
+        cfg = self.config
+        cost = (runs * cfg.mprotect_call_us
+                + (n_pages - runs) * cfg.mprotect_page_us)
+        if cost > 0:
+            self.total_us[node] += cost
+            self.calls[node] += runs
+            self.pages_protected[node] += n_pages
+        return cost
 
     @property
     def grand_total_us(self) -> float:

@@ -68,11 +68,6 @@ class SharedRegion:
     def gids(self, indices) -> List[int]:
         return [self.gid(i) for i in indices]
 
-    def index_of(self, gid: int) -> int:
-        if not self.base <= gid < self.base + self.n_pages:
-            raise IndexError(f"gid {gid} not in region {self.name!r}")
-        return gid - self.base
-
     def home_of(self, index: int) -> int:
         return self.homes[index]
 
@@ -229,17 +224,13 @@ class NodePageTable:
 
     # -- faults ------------------------------------------------------------
 
-    def _transition(self, gid: int, old: PageAccess, new: PageAccess,
-                    why: str) -> None:
-        if self.on_transition is not None and old is not new:
-            self.on_transition(self.node, gid, old, new, why)
-
     def mark_valid(self, gid: int, writable: bool = False,
                    why: str = "fault") -> None:
         e = self.entry(gid)
         old = e.access
         e.access = PageAccess.WRITE if writable else PageAccess.READ
-        self._transition(gid, old, e.access, why)
+        if self.on_transition is not None and old is not e.access:
+            self.on_transition(self.node, gid, old, e.access, why)
 
     def record_write(self, gid: int, shape: DiffShape) -> bool:
         """Note a write to ``gid`` this interval.
@@ -252,7 +243,8 @@ class NodePageTable:
             e.twinned = True
         old = e.access
         e.access = PageAccess.WRITE
-        self._transition(gid, old, e.access, "write")
+        if self.on_transition is not None and old is not e.access:
+            self.on_transition(self.node, gid, old, e.access, "write")
         if gid in self.dirty_pages:
             self.dirty_pages[gid] = self.dirty_pages[gid].merge(shape)
         else:
@@ -277,8 +269,9 @@ class NodePageTable:
             e.dirty = None
             if e.access is PageAccess.WRITE:
                 e.access = PageAccess.READ
-                self._transition(gid, PageAccess.WRITE, PageAccess.READ,
-                                 "close")
+                if self.on_transition is not None:
+                    self.on_transition(self.node, gid, PageAccess.WRITE,
+                                       PageAccess.READ, "close")
         return dirty
 
     # -- invalidations -----------------------------------------------------------
@@ -301,7 +294,8 @@ class NodePageTable:
             return False
         old = e.access
         e.access = PageAccess.INVALID
-        self._transition(gid, old, PageAccess.INVALID, "invalidate")
+        if self.on_transition is not None:
+            self.on_transition(self.node, gid, old, e.access, "invalidate")
         return True
 
     def needed_versions(self, gid: int) -> Dict[int, int]:

@@ -197,7 +197,7 @@ class HLRCProtocol:
                 f"quiescent point")
         if old is None:
             self._ensure_home(gid, node_id)
-            yield self.sim.timeout(self.config.protocol_op_us)
+            yield self.config.protocol_op_us
         else:
             # Pull the authoritative copy and its version vector.
             yield from self.vmmc.fetch(node_id, old,
@@ -228,7 +228,7 @@ class HLRCProtocol:
         node = self.machine.node_of(rank)
         t = node.compute_time(us, bus_intensity)
         t0 = self.sim.now
-        yield self.sim.timeout(t)
+        yield t
         self.buckets[rank].charge("compute", self.sim.now - t0)
 
     # ----------------------------------------------------------------- read
@@ -254,7 +254,7 @@ class HLRCProtocol:
         try:
             if self.tracer is not None:
                 self._trace("fault.read", rank=rank, gid=gid)
-            yield self.sim.timeout(cfg.page_fault_us)
+            yield cfg.page_fault_us
             # Another process of this node may already be fetching the
             # page.
             key = (node_id, gid)
@@ -288,7 +288,7 @@ class HLRCProtocol:
                     yield from self._fetch_base(node_id, gid, home,
                                                 needed, track=track)
                 cost = self.mprotect.protect(node_id, [gid])
-                yield self.sim.timeout(cost)
+                yield cost
                 table.mark_valid(gid)
                 if self.tracer is not None:
                     self._trace("fault.done", node=node_id, gid=gid)
@@ -308,7 +308,7 @@ class HLRCProtocol:
             self._home_waiters.setdefault(gid, []).append(
                 (needed, ev, track))
             yield ev
-        yield self.sim.timeout(self.config.protocol_op_us)
+        yield self.config.protocol_op_us
         if self.tracer is not None:
             self._trace("fetch.ok", node=self.directory.home_of(gid),
                         gid=gid,
@@ -334,7 +334,7 @@ class HLRCProtocol:
         yield from self.vmmc.send(node_id, home, PAGE_REQ_BYTES,
                                   kind="page_req", on_delivered=at_home)
         snapshot = yield done
-        yield self.sim.timeout(self.config.notify_us)
+        yield self.config.notify_us
         if self.tracer is not None:
             self._trace("fetch.ok", node=node_id, gid=gid,
                         snapshot=tuple(sorted((snapshot or {}).items())),
@@ -363,7 +363,7 @@ class HLRCProtocol:
                             link=link, gid=gid) if sp is not None else None
 
             def body():
-                yield self.sim.timeout(self.config.protocol_op_us)
+                yield self.config.protocol_op_us
                 if hp.satisfies(needed):
                     served[0] = True
                     # The reply carries the version snapshot the home
@@ -423,18 +423,20 @@ class HLRCProtocol:
             self.fetch_retries += 1
             retries += 1
             if retries > cfg.fetch_retry_max:
-                self._trace("fetch.retry_exhausted", node=node_id,
-                            gid=gid, home=home, retries=retries,
-                            needed=tuple(sorted(needed.items())),
-                            snapshot=tuple(sorted(reply.payload.items())))
+                if self.tracer is not None:
+                    self._trace("fetch.retry_exhausted", node=node_id,
+                                gid=gid, home=home, retries=retries,
+                                needed=tuple(sorted(needed.items())),
+                                snapshot=tuple(sorted(reply.payload.items())))
                 raise SimulationError(
                     f"page {gid}: node {node_id} re-fetched from home "
                     f"{home} {retries} times without versions {needed} "
                     f"appearing (have {reply.payload}); the home copy "
                     f"never advanced (fetch_retry_max="
                     f"{cfg.fetch_retry_max})")
-            self._trace("fetch.retry", node=node_id, gid=gid)
-            yield self.sim.timeout(cfg.fetch_retry_backoff_us)
+            if self.tracer is not None:
+                self._trace("fetch.retry", node=node_id, gid=gid)
+            yield cfg.fetch_retry_backoff_us
 
     # ----------------------------------------------------------------- write
 
@@ -467,7 +469,7 @@ class HLRCProtocol:
                 cost = (cfg.page_fault_us + twin
                         + self.mprotect.protect(node_id, [gid]))
                 table.write_faults += 1
-                yield self.sim.timeout(cost)
+                yield cost
         self.buckets[rank].charge("data", self.sim.now - t0)
 
     # -------------------------------------------------- intervals & diffs
@@ -490,9 +492,10 @@ class HLRCProtocol:
         self.interval_log.append(interval)
         self.node_clock[node_id][node_id] = index
         self.pending_flush[node_id].append((index, dirty))
-        self._trace("interval.close", node=node_id, index=index,
-                    pages=len(dirty), written=interval.pages,
-                    clock=self.node_clock[node_id].values)
+        if self.tracer is not None:
+            self._trace("interval.close", node=node_id, index=index,
+                        pages=len(dirty), written=interval.pages,
+                        clock=self.node_clock[node_id].values)
         if self.invariants is not None:
             self.invariants.on_interval_close(node_id, interval)
         return interval
@@ -502,7 +505,7 @@ class HLRCProtocol:
         interval = self.close_interval(node_id)
         if interval is not None:
             cost = self.mprotect.protect(node_id, interval.pages)
-            yield self.sim.timeout(cost)
+            yield cost
         return interval
 
     def flush_pending(self, node_id: int, track: Optional[str] = None):
@@ -526,16 +529,17 @@ class HLRCProtocol:
         cfg = self.config
         home = self.directory.home_of(gid)
         sp = self.spans if track is not None else None
-        self._trace("diff.flush", node=node_id, gid=gid, home=home,
-                    runs=shape.runs, bytes=shape.bytes_modified)
+        if self.tracer is not None:
+            self._trace("diff.flush", node=node_id, gid=gid, home=home,
+                        runs=shape.runs, bytes=shape.bytes_modified)
         if home == node_id:
             # Home writes land in place: no twin was made, so there is
             # nothing to compare or send — just publish the version.
-            yield self.sim.timeout(cfg.protocol_op_us)
+            yield cfg.protocol_op_us
             self._apply_at_home(gid, node_id, index, track=track)
             return
         # Compare the page with its twin.
-        yield self.sim.timeout(cfg.diff_scan_us)
+        yield cfg.diff_scan_us
         if self.features.direct_diffs and self.features.scatter_gather:
             # Section 5 scatter-gather: all runs ride one message whose
             # packing/unpacking happens on the (slow) NIs — no host
@@ -577,8 +581,7 @@ class HLRCProtocol:
             # Packed diff: one message, applied by an interrupt handler
             # at the home.
             self.diffs_sent += 1
-            yield self.sim.timeout(
-                cfg.diff_pack_per_kb_us * shape.bytes_modified / 1024.0)
+            yield cfg.diff_pack_per_kb_us * shape.bytes_modified / 1024.0
             fid = sp.flow(track, "diff", "data", gid=gid) \
                 if sp is not None else None
 
@@ -605,7 +608,7 @@ class HLRCProtocol:
         def body():
             hsid = sp.begin("diff.home", htrack, bucket="data",
                             link=link, gid=gid) if sp is not None else None
-            yield self.sim.timeout(apply_us)
+            yield apply_us
             self._apply_at_home(gid, writer, index,
                                 track=htrack if sp is not None else None)
             if sp is not None:
@@ -624,7 +627,8 @@ class HLRCProtocol:
         critical path can cross from the flusher to the home.
         """
         hp = self._home(gid)
-        self._trace("home.apply", gid=gid, writer=writer, index=index)
+        if self.tracer is not None:
+            self._trace("home.apply", gid=gid, writer=writer, index=index)
         if hp.applied.get(writer, 0) < index:
             hp.applied[writer] = index
         sp = self.spans if track is not None else None
@@ -749,15 +753,16 @@ class HLRCProtocol:
                                         is_home=home_of(page) == node_id):
                         to_protect.append(page)
         self.node_clock[node_id].merge(want)
-        self._trace("clock.advance", node=node_id,
-                    clock=self.node_clock[node_id].values,
-                    want=want.values)
+        if self.tracer is not None:
+            self._trace("clock.advance", node=node_id,
+                        clock=self.node_clock[node_id].values,
+                        want=want.values)
         if self.invariants is not None:
             self.invariants.on_clock_merge(
                 node_id, before, self.node_clock[node_id], want)
         cost = self.mprotect.protect(node_id, to_protect)
         if cost > 0:
-            yield self.sim.timeout(cost)
+            yield cost
 
     # ------------------------------------------------------------ locks
 
@@ -769,7 +774,8 @@ class HLRCProtocol:
         track = rank_track(rank)
         sid = sp.begin("lock.acquire", track, bucket=bucket,
                        lock=lock_id) if sp is not None else None
-        self._trace("lock.acquire", rank=rank, lock=lock_id)
+        if self.tracer is not None:
+            self._trace("lock.acquire", rank=rank, lock=lock_id)
         if self.features.ni_locks:
             ts = yield from self.ni_locks.acquire(node_id, lock_id,
                                                   track=track)
@@ -789,7 +795,8 @@ class HLRCProtocol:
         track = rank_track(rank)
         sid = sp.begin("lock.release", track, bucket=bucket,
                        lock=lock_id) if sp is not None else None
-        self._trace("lock.release", rank=rank, lock=lock_id)
+        if self.tracer is not None:
+            self._trace("lock.release", rank=rank, lock=lock_id)
         feats = self.features
         if feats.ni_locks:
             # Hybrid diff policy: skip the flush when the next waiter
@@ -923,7 +930,7 @@ class HLRCProtocol:
                 (want, ev, track if sp is not None else None))
             yield ev
         flag["consumed"][rank] = max(flag["consumed"].get(rank, 0), want)
-        yield self.sim.timeout(self.config.notify_us)
+        yield self.config.notify_us
         ts = flag["node_ts"][node_id]
         yield from self.apply_incoming(rank, ts)
         if sp is not None:
@@ -938,9 +945,11 @@ class HLRCProtocol:
         sp = self.spans
         sid = sp.begin("barrier", rank_track(rank), bucket="barrier",
                        epoch=epoch) if sp is not None else None
-        self._trace("barrier.enter", rank=rank, epoch=epoch)
+        if self.tracer is not None:
+            self._trace("barrier.enter", rank=rank, epoch=epoch)
         yield from self.barriers.barrier(rank)
-        self._trace("barrier.exit", rank=rank, epoch=epoch)
+        if self.tracer is not None:
+            self._trace("barrier.exit", rank=rank, epoch=epoch)
         if sp is not None:
             sp.end(sid)
 

@@ -48,9 +48,6 @@ class ExportTable:
     def is_exported(self, node: int, region: Any) -> bool:
         return region in self._exports.get(node, set())
 
-    def exported_count(self, node: int) -> int:
-        return len(self._exports.get(node, set()))
-
     def check(self, node: int, region: Any) -> None:
         if self.strict and not self.is_exported(node, region):
             raise PermissionError(
@@ -120,8 +117,7 @@ class VMMC:
         self.bytes_sent += size
         if src == dst:
             # In-node deposit: a memcpy, no NI involvement.
-            yield self.sim.timeout(cfg.post_overhead_us
-                                   + size / cfg.host_memcpy_mbps)
+            yield cfg.post_overhead_us + size / cfg.host_memcpy_mbps
             msg = Message(src=src, dst=dst, size=size, kind=kind,
                           payload=payload)
             if on_delivered is not None:
@@ -129,7 +125,7 @@ class VMMC:
             if await_delivery:
                 # Synchronous deposits pay the completion notification
                 # on the local path too, matching the remote path.
-                yield self.sim.timeout(cfg.notify_us)
+                yield cfg.notify_us
             return msg
 
         msg = Message(src=src, dst=dst, size=size, kind=kind,
@@ -149,11 +145,11 @@ class VMMC:
         msg.on_delivered = _delivered
         # Post overhead on the host CPU, then block until the post
         # queue accepts the descriptor.
-        yield self.sim.timeout(cfg.post_overhead_us)
+        yield cfg.post_overhead_us
         yield self.machine.nics[src].post(msg)
         if await_delivery:
             yield delivered
-            yield self.sim.timeout(cfg.notify_us)
+            yield cfg.notify_us
         return msg
 
     def send_multicast(self, src: int, dsts, size: int,
@@ -181,7 +177,7 @@ class VMMC:
                       extra_src_lanai_us=extra_src_lanai_us,
                       on_delivered=on_delivered,
                       on_packet_delivered=on_packet_delivered)
-        yield self.sim.timeout(self.config.post_overhead_us)
+        yield self.config.post_overhead_us
         yield self.machine.nics[src].post(msg)
         return msg
 
@@ -224,10 +220,10 @@ class VMMC:
                                 on_served=on_served, done=done,
                                 track=track),
         )
-        yield self.sim.timeout(self.config.post_overhead_us)
+        yield self.config.post_overhead_us
         yield self.machine.nics[src].post(request)
         reply = yield done
-        yield self.sim.timeout(self.config.notify_us)
+        yield self.config.notify_us
         if sp is not None:
             sp.end(sid)
         return reply
@@ -263,7 +259,7 @@ class VMMC:
             nic.fw_send(reply, read_host_bytes=True)
 
         def setup():
-            yield self.sim.timeout(self.config.ni_fetch_setup_us)
+            yield self.config.ni_fetch_setup_us
             serve()
 
         return setup()

@@ -157,11 +157,11 @@ class NILockManager:
         # the lock until another processor needs it") and the home
         # chain — deciding at the host would race with other local
         # acquirers.
-        yield self.sim.timeout(cfg.post_overhead_us)
+        yield cfg.post_overhead_us
         yield from self._lanai_op(node, self._acquire_doorbell,
                                   node, lock_id, wtrack)
         ts = yield ev
-        yield self.sim.timeout(cfg.notify_us)
+        yield cfg.notify_us
         return ts
 
     def _acquire_doorbell(self, node: int, lock_id: int,
@@ -190,7 +190,7 @@ class NILockManager:
         A purely local NI operation; if a waiter is queued at this NI
         the firmware hands the lock over immediately.
         """
-        yield self.sim.timeout(self.config.post_overhead_us)
+        yield self.config.post_overhead_us
         yield from self._lanai_op(node, self._do_release, node, lock_id,
                                   ts, track if self.spans is not None
                                   else None)
@@ -210,7 +210,7 @@ class NILockManager:
         node = pkt.dst
 
         def run():
-            yield self.sim.timeout(self.config.ni_lock_op_us)
+            yield self.config.ni_lock_op_us
             kind = op[0]
             if kind == "acquire":
                 _k, lock_id, requester = op

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..hw import Machine
-from ..hw.packet import Packet
+from ..hw.packet import SMALL_MESSAGE_BYTES, Packet
 from ..sim import RunningStat
 
 __all__ = ["PerfMonitor", "StageRatios"]
@@ -67,29 +67,30 @@ class PerfMonitor:
 
     def record(self, pkt: Packet) -> None:
         cfg = self.config
-        size_class = "small" if pkt.is_small else "large"
-        stats = self._ratios[size_class]
-        self.packets_by_kind[pkt.kind] = \
-            self.packets_by_kind.get(pkt.kind, 0) + 1
-        self.bytes_by_kind[pkt.kind] = \
-            self.bytes_by_kind.get(pkt.kind, 0) + pkt.size
+        msg = pkt.message
+        kind = msg.kind
+        size = pkt.size
+        stats = self._ratios["small" if size <= SMALL_MESSAGE_BYTES
+                             else "large"]
+        self.packets_by_kind[kind] = self.packets_by_kind.get(kind, 0) + 1
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
 
-        fw_consumed = not pkt.message.deliver_to_host
+        fw_consumed = not msg.deliver_to_host
         # Firmware-origin control packets (lock grants/forwards) have no
         # host DMA at the source; their source stage is not comparable.
         if not (pkt.fw_origin and fw_consumed):
-            src_ref = cfg.src_uncontended_us(pkt.size)
+            src_ref = cfg.src_uncontended_us(size)
             self._add(stats["source"], pkt.source_latency, src_ref)
         self._add(stats["lanai"], pkt.lanai_latency,
-                  cfg.lanai_uncontended_us(pkt.size))
+                  cfg.lanai_uncontended_us(size))
         self._add(stats["net"], pkt.net_latency,
-                  cfg.net_uncontended_us(pkt.size))
+                  cfg.net_uncontended_us(size))
         if fw_consumed:
-            fw_cost = cfg.ni_lock_op_us if pkt.kind == "lock_op" \
+            fw_cost = cfg.ni_lock_op_us if kind == "lock_op" \
                 else cfg.ni_fetch_setup_us
             dest_ref = cfg.ni_proc_us + fw_cost
         else:
-            dest_ref = cfg.dest_uncontended_us(pkt.size)
+            dest_ref = cfg.dest_uncontended_us(size)
         self._add(stats["dest"], pkt.dest_latency, dest_ref)
 
     @staticmethod
@@ -102,7 +103,7 @@ class PerfMonitor:
     def ratios(self, size_class: str) -> StageRatios:
         """Mean per-stage contention ratios for small or large packets."""
         if size_class not in self._ratios:
-            raise ValueError(f"size_class must be 'small' or 'large'")
+            raise ValueError("size_class must be 'small' or 'large'")
         stats = self._ratios[size_class]
         return StageRatios(
             source=stats["source"].mean,

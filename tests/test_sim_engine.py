@@ -529,3 +529,103 @@ def test_non_event_after_in_place_resume_fails_the_process():
     assert proc.triggered and not proc.ok
     assert isinstance(proc._exc, SimulationError)
     assert closed == [True]
+
+
+# -- bare-delay yields ------------------------------------------------------
+
+
+def test_bare_delay_resumes_after_delay_with_none():
+    sim = Simulator()
+    got = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        v = yield 2.5
+        got.append((sim.now, v))
+
+    sim.process(proc())
+    sim.run()
+    assert got == [(3.5, None)]
+
+
+def _equal_time_scenario(bare):
+    """Processes waking at shared instants through ``yield d``,
+    ``yield 0.0`` and Timeouts; ``bare=False`` is the all-Timeout twin."""
+    sim = Simulator()
+    order = []
+
+    def sleep(d, as_bare):
+        return d if (bare and as_bare) else sim.timeout(d)
+
+    def proc(tag, steps):
+        for d, as_bare in steps:
+            yield sleep(d, as_bare)
+            order.append((tag, sim.now))
+
+    sim.process(proc("a", [(1.0, True), (0.0, True), (2.0, False)]))
+    sim.process(proc("b", [(1.0, False), (0.0, False), (2.0, True)]))
+    sim.process(proc("c", [(0.0, True), (1.0, True), (2.0, True)]))
+    sim.process(proc("d", [(3.0, False), (0.0, True), (0.0, False)]))
+    sim.schedule(1.0, lambda: order.append(("cb", sim.now)))
+    sim.run()
+    return order, sim.events_dispatched
+
+
+def test_bare_delays_match_timeout_twin_order_and_count():
+    bare_order, bare_count = _equal_time_scenario(bare=True)
+    twin_order, twin_count = _equal_time_scenario(bare=False)
+    assert bare_order == twin_order
+    assert bare_count == twin_count
+    # Same-instant wakes of both kinds interleave in scheduling order.
+    assert bare_order == [
+        ("c", 0.0), ("cb", 1.0), ("a", 1.0), ("b", 1.0), ("c", 1.0),
+        ("a", 1.0), ("b", 1.0), ("d", 3.0), ("c", 3.0), ("a", 3.0),
+        ("b", 3.0), ("d", 3.0), ("d", 3.0)]
+
+
+def test_negative_bare_delay_raises_inside_process():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield 1.0
+        try:
+            yield -0.5
+        except ValueError as err:
+            log.append((sim.now, "negative" in str(err)))
+        yield 1.0
+        log.append(sim.now)
+
+    sim.process(proc())
+    sim.run()
+    assert log == [(1.0, True), 2.0]
+
+
+def test_interrupt_withdraws_bare_sleepers_wake():
+    sim = Simulator()
+    log = []
+
+    def sleeper(first):
+        try:
+            yield first
+            log.append(("woke", sim.now))
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        yield 20.0
+        log.append(("done", sim.now))
+
+    far = sim.process(sleeper(10.0))     # wake alone on its page
+    near = sim.process(sleeper(0.0))     # wake on the current-instant lane
+
+    def interrupter():
+        near.interrupt("now")
+        yield 5.0
+        far.interrupt("later")
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [("interrupted", 0.0, "now"), ("interrupted", 5.0, "later"),
+                   ("done", 20.0), ("done", 25.0)]
+    # The withdrawn wakes are still dispatched (inert), as a Timeout
+    # with its callback detached would be.
+    assert sim.now == 25.0  # repro: noqa[float-time-eq] — exact determinism check

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store
+from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store
 from repro.sim.resources import RateServer
 
 
@@ -284,3 +284,38 @@ def test_rate_server_rejects_nonpositive_bandwidth():
     sim = Simulator()
     with pytest.raises(ValueError):
         RateServer(sim, bandwidth_mbps=0.0)
+
+
+@pytest.mark.parametrize("station", ["resource", "rate_server"])
+def test_interrupted_queued_request_is_withdrawn(station):
+    # A waiter interrupted while queued must not keep its request: the
+    # holder's release would grant the slot to it and hang the third.
+    sim = Simulator()
+    if station == "resource":
+        res = Resource(sim)
+
+        def hold(units):
+            return res.use(float(units))
+    else:
+        server = RateServer(sim, bandwidth_mbps=1.0)   # 1 byte per us
+        res = server._res
+        hold = server.transfer
+    finished = {}
+
+    def proc(tag, units, start=0.0):
+        yield start
+        try:
+            yield from hold(units)
+            finished[tag] = sim.now
+        except Interrupt:
+            finished[tag] = ("interrupted", sim.now)
+
+    sim.process(proc("holder", 10))
+    waiter = sim.process(proc("waiter", 1))
+    sim.schedule(1.0, waiter.interrupt)
+    third = sim.process(proc("third", 1, start=2.0))
+    sim.run()
+    assert finished == {"holder": 10.0, "waiter": ("interrupted", 1.0),
+                        "third": 11.0}
+    assert not third.is_alive
+    assert res.in_use == 0 and res.queue_len == 0
